@@ -6,6 +6,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -139,6 +140,10 @@ Router::closeSlotParentFds(Slot &slot)
         ::close(slot.heartbeatFd);
         slot.heartbeatFd = -1;
     }
+    if (slot.workerEndFd >= 0) {
+        ::close(slot.workerEndFd);
+        slot.workerEndFd = -1;
+    }
 }
 
 void
@@ -221,10 +226,10 @@ Router::spawnWorker(int slot_index)
         ::_exit(code);
     }
 
-    ::close(control[1]);
     ::close(heartbeat[1]);
     slot.pid = pid;
     slot.controlFd = control[0];
+    slot.workerEndFd = control[1];
     slot.heartbeatFd = heartbeat[0];
     slot.incarnation = incarnation;
     slot.alive = true;
@@ -253,6 +258,12 @@ Router::dispatchConnection(int listen_fd)
         ::close(fd);
         return;
     }
+    handOff(fd);
+}
+
+void
+Router::handOff(int fd)
+{
     const int n = options_.workers;
     for (int k = 0; k < n; ++k) {
         const int i = (next_slot_ + k) % n;
@@ -304,9 +315,27 @@ Router::reapWorker(int slot_index)
     int status = 0;
     while (::waitpid(slot.pid, &status, 0) < 0 && errno == EINTR) {
     }
+    // Connections handed to this incarnation that it never received
+    // are still queued on the router's copy of its control end.
+    std::vector<int> stranded;
+    pollfd queued{slot.workerEndFd, POLLIN, 0};
+    while (slot.workerEndFd >= 0 && ::poll(&queued, 1, 0) > 0
+           && (queued.revents & POLLIN) != 0) {
+        const int fd = recvFd(slot.workerEndFd);
+        if (fd < 0)
+            break;
+        stranded.push_back(fd);
+    }
     closeSlotParentFds(slot);
     slot.alive = false;
     slot.lastStatus = status;
+    slot.handed -= static_cast<long>(stranded.size());
+    for (const int fd : stranded) {
+        if (stopping_)
+            ::close(fd);
+        else
+            handOff(fd);
+    }
     const std::string who = "worker " + std::to_string(slot_index);
 
     if (stopping_) {

@@ -53,10 +53,11 @@ struct FleetWorkerContext
  * owns the listening endpoints (Unix socket and/or TCP), accepts every
  * client connection, and hands each accepted socket to a worker over
  * that slot's control socketpair via SCM_RIGHTS (fleet/fdpass.h),
- * round-robin over live slots. Per slot it keeps the supervisor's
- * guarantees: heartbeat monitoring, SIGKILL on hang, bounded
- * exponentially backed-off restarts, PAQOC_WORKER_FAILPOINTS armed in
- * slot 0's first incarnation only.
+ * round-robin over live slots; a handed connection still queued when
+ * its worker dies is taken back at reap and handed on. Per slot it
+ * keeps the supervisor's guarantees: heartbeat monitoring, SIGKILL on
+ * hang, bounded exponentially backed-off restarts,
+ * PAQOC_WORKER_FAILPOINTS armed in slot 0's first incarnation only.
  *
  * Shutdown is drain-aware: on SIGTERM/SIGINT (or requestStop()) the
  * router closes its listeners, forwards the signal to every worker,
@@ -120,6 +121,13 @@ class Router
     {
         pid_t pid = -1;
         int controlFd = -1;   ///< parent end of the control pair
+        /**
+         * Router-held copy of the worker's end of the control pair.
+         * A connection handed to an incarnation that exits before
+         * receiving it stays queued here, so reapWorker can take it
+         * back and hand it to a live slot instead of dropping it.
+         */
+        int workerEndFd = -1;
         int heartbeatFd = -1; ///< read end of the heartbeat pipe
         int incarnation = -1; ///< -1 = never spawned
         bool alive = false;
@@ -136,6 +144,8 @@ class Router
     void closeSlotParentFds(Slot &slot);
     /** Accept + hand off one connection from listener `fd`. */
     void dispatchConnection(int listen_fd);
+    /** Hand `fd` to the next live slot (round-robin), or close it. */
+    void handOff(int fd);
     void reapWorker(int slot_index);
     void beginShutdown(int signum);
     void say(const std::string &message) const;

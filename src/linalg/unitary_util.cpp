@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <mutex>
 
 #include "common/error.h"
 #include "linalg/eig.h"
@@ -148,17 +149,10 @@ struct PauliBasis
     std::vector<unsigned> supports;
 };
 
-const PauliBasis &
-pauliBasis(int num_qubits)
+PauliBasis
+buildPauliBasis(int num_qubits)
 {
-    static PauliBasis cache[5]; // index by qubit count, 1..4
-    PAQOC_FATAL_IF(num_qubits < 1 || num_qubits > 4,
-                   "pauliSplitNorms supports 1..4 qubits, got ",
-                   num_qubits);
-    PauliBasis &basis = cache[num_qubits];
-    if (!basis.strings.empty())
-        return basis;
-
+    PauliBasis basis;
     const Matrix paulis[4] = {
         Matrix::identity(2),
         Matrix{{0.0, 1.0}, {1.0, 0.0}},
@@ -186,6 +180,23 @@ pauliBasis(int num_qubits)
         basis.supports.push_back(support);
     }
     return basis;
+}
+
+const PauliBasis &
+pauliBasis(int num_qubits)
+{
+    PAQOC_FATAL_IF(num_qubits < 1 || num_qubits > 4,
+                   "pauliSplitNorms supports 1..4 qubits, got ",
+                   num_qubits);
+    // Index by qubit count, 1..4. Each width is built exactly once;
+    // concurrent first callers wait on the once_flag instead of
+    // racing the fill.
+    static PauliBasis cache[5];
+    static std::once_flag built[5];
+    std::call_once(built[num_qubits], [num_qubits] {
+        cache[num_qubits] = buildPauliBasis(num_qubits);
+    });
+    return cache[num_qubits];
 }
 
 } // namespace

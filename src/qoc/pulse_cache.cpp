@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -13,15 +14,77 @@ namespace paqoc {
 
 namespace {
 
-/** Normalize global phase: largest-magnitude entry made real positive. */
-Matrix
-phaseNormalized(const Matrix &u)
+/**
+ * Append `scaled` / 1e4 with four decimals: integer formatting of the
+ * rounded value, so no printf on the lookup path.
+ */
+void
+appendFixed4(std::string &s, long long scaled)
 {
+    char buf[32];
+    char *const end = buf + sizeof buf;
+    char *p = end;
+    unsigned long long m = static_cast<unsigned long long>(scaled);
+    if (scaled < 0)
+        m = 0 - m;
+    for (int i = 0; i < 4; ++i, m /= 10)
+        *--p = static_cast<char>('0' + m % 10);
+    *--p = '.';
+    do {
+        *--p = static_cast<char>('0' + m % 10);
+        m /= 10;
+    } while (m != 0);
+    if (scaled < 0)
+        *--p = '-';
+    s.append(p, end);
+}
+
+/**
+ * Byte-for-byte the text of printf("%.4f,%.4f;") on the values rounded
+ * at 1e-4. Within |n| < 1e14 the double n / 1e4 lies far closer than
+ * 0.5e-4 to the decimal n * 10^-4, so "%.4f" prints exactly the digits
+ * of the integer n; anything else (never a unitary entry) keeps the
+ * printf form. tests/test_qoc.cpp pins the equivalence.
+ */
+void
+appendQuantized(std::string &s, Complex z)
+{
+    // Round at 1e-4 so GRAPE noise maps to a stable key; the +0.0
+    // folds negative zero.
+    const double re = std::round(z.real() * 1e4) + 0.0;
+    const double im = std::round(z.imag() * 1e4) + 0.0;
+    constexpr double kExact = 1e14;
+    if (std::abs(re) < kExact && std::abs(im) < kExact) {
+        appendFixed4(s, static_cast<long long>(re));
+        s += ',';
+        appendFixed4(s, static_cast<long long>(im));
+        s += ';';
+        return;
+    }
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "%.4f,%.4f;", re / 1e4 + 0.0,
+                  im / 1e4 + 0.0);
+    s += buf;
+}
+
+/**
+ * Key text of v(r, c) = u(order[r], order[c]) -- `order` is the
+ * identity or the qubit-order reversal -- with v's global phase
+ * normalized: its first largest-magnitude entry (row-major) is made
+ * real positive. v is never materialized; `mags` holds |u| row-major,
+ * shared by both orientations.
+ */
+void
+appendOriented(std::string &s, const Matrix &u,
+               const std::vector<double> &mags,
+               const std::vector<std::size_t> &order)
+{
+    const std::size_t dim = u.rows();
     std::size_t best_r = 0, best_c = 0;
     double best = -1.0;
-    for (std::size_t r = 0; r < u.rows(); ++r) {
-        for (std::size_t c = 0; c < u.cols(); ++c) {
-            const double m = std::abs(u(r, c));
+    for (std::size_t r = 0; r < dim; ++r) {
+        for (std::size_t c = 0; c < dim; ++c) {
+            const double m = mags[order[r] * dim + order[c]];
             if (m > best + 1e-12) {
                 best = m;
                 best_r = r;
@@ -29,67 +92,68 @@ phaseNormalized(const Matrix &u)
             }
         }
     }
-    const Complex pivot = u(best_r, best_c);
-    Matrix out = u;
-    if (std::abs(pivot) > 1e-12)
-        out *= std::conj(pivot) / std::abs(pivot);
-    return out;
-}
-
-/** Relabel qubits by reversing their order (path symmetry). */
-Matrix
-bitReversed(const Matrix &u, int num_qubits)
-{
-    const std::size_t dim = u.rows();
-    auto rev = [num_qubits](std::size_t x) {
-        std::size_t y = 0;
-        for (int b = 0; b < num_qubits; ++b)
-            y |= ((x >> b) & 1u) << (num_qubits - 1 - b);
-        return y;
-    };
-    Matrix out(dim, dim);
-    for (std::size_t r = 0; r < dim; ++r)
-        for (std::size_t c = 0; c < dim; ++c)
-            out(rev(r), rev(c)) = u(r, c);
-    return out;
-}
-
-std::string
-quantized(const Matrix &u)
-{
-    std::string s;
-    s.reserve(u.rows() * u.cols() * 20);
-    char buf[48];
-    for (std::size_t r = 0; r < u.rows(); ++r) {
-        for (std::size_t c = 0; c < u.cols(); ++c) {
-            // Round at 1e-4 so GRAPE noise maps to a stable key; the
-            // +0.0 folds negative zero.
-            const double re =
-                std::round(u(r, c).real() * 1e4) / 1e4 + 0.0;
-            const double im =
-                std::round(u(r, c).imag() * 1e4) / 1e4 + 0.0;
-            std::snprintf(buf, sizeof buf, "%.4f,%.4f;", re, im);
-            s += buf;
+    const Complex pivot = u(order[best_r], order[best_c]);
+    const bool rotate = std::abs(pivot) > 1e-12;
+    const Complex phase =
+        rotate ? std::conj(pivot) / std::abs(pivot) : Complex(1.0);
+    s.reserve(s.size() + dim * dim * 20);
+    for (std::size_t r = 0; r < dim; ++r) {
+        for (std::size_t c = 0; c < dim; ++c) {
+            Complex z = u(order[r], order[c]);
+            if (rotate)
+                z *= phase;
+            appendQuantized(s, z);
         }
     }
-    return s;
 }
 
 } // namespace
+
+PulseEpoch::PulseEpoch(Entries entries) : byKey_(std::move(entries))
+{
+    std::uint64_t generation = 0;
+    for (auto &[key, entry] : byKey_)
+        entry.generation = generation++;
+}
+
+const CachedPulse *
+PulseEpoch::find(const std::string &key) const
+{
+    const auto it = byKey_.find(key);
+    return it == byKey_.end() ? nullptr : &it->second;
+}
 
 std::string
 PulseCache::canonicalKey(const Matrix &unitary, int num_qubits)
 {
     PAQOC_ASSERT(unitary.rows() == (std::size_t{1} << num_qubits),
                  "unitary does not match qubit count");
-    std::string key = quantized(phaseNormalized(unitary));
+    const std::size_t dim = unitary.rows();
+    std::vector<double> mags(dim * dim);
+    for (std::size_t r = 0; r < dim; ++r)
+        for (std::size_t c = 0; c < dim; ++c)
+            mags[r * dim + c] = std::abs(unitary(r, c));
+    std::vector<std::size_t> order(dim);
+    for (std::size_t x = 0; x < dim; ++x)
+        order[x] = x;
+    const std::string prefix = std::to_string(num_qubits) + ":";
+    std::string key = prefix;
+    appendOriented(key, unitary, mags, order);
     if (num_qubits > 1) {
-        std::string alt = quantized(
-            phaseNormalized(bitReversed(unitary, num_qubits)));
+        // A <=3-qubit region couples as a path, so relabeling its
+        // qubits in reverse order is the same control problem.
+        for (std::size_t x = 0; x < dim; ++x) {
+            std::size_t y = 0;
+            for (int b = 0; b < num_qubits; ++b)
+                y |= ((x >> b) & 1u) << (num_qubits - 1 - b);
+            order[x] = y;
+        }
+        std::string alt = prefix;
+        appendOriented(alt, unitary, mags, order);
         if (alt < key)
             key = std::move(alt);
     }
-    return std::to_string(num_qubits) + ":" + key;
+    return key;
 }
 
 PulseCache::Acquired
@@ -98,10 +162,9 @@ PulseCache::acquire(const Matrix &unitary, int num_qubits)
     const std::string key = canonicalKey(unitary, num_qubits);
     MutexLock lock(mutex_);
     for (;;) {
-        const auto hit = entries_.find(key);
-        if (hit != entries_.end()) {
+        if (const CachedPulse *hit = findLocked(key)) {
             hits_.fetch_add(1, std::memory_order_relaxed);
-            return {FlightRole::Hit, hit->second};
+            return {FlightRole::Hit, *hit};
         }
         const auto it = flights_.find(key);
         if (it == flights_.end()) {
@@ -167,11 +230,10 @@ PulseCache::lookup(const Matrix &unitary, int num_qubits) const
 {
     const std::string key = canonicalKey(unitary, num_qubits);
     MutexLock lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it == entries_.end())
-        return nullptr;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return &it->second;
+    const CachedPulse *hit = findLocked(key);
+    if (hit != nullptr)
+        hits_.fetch_add(1, std::memory_order_relaxed);
+    return hit;
 }
 
 std::optional<CachedPulse>
@@ -179,11 +241,11 @@ PulseCache::find(const Matrix &unitary, int num_qubits) const
 {
     const std::string key = canonicalKey(unitary, num_qubits);
     MutexLock lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it == entries_.end())
+    const CachedPulse *hit = findLocked(key);
+    if (hit == nullptr)
         return std::nullopt;
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+    return *hit;
 }
 
 void
@@ -213,6 +275,18 @@ PulseCache::attachStore(PulseStoreSink *sink)
 }
 
 void
+PulseCache::attachEpoch(std::shared_ptr<const PulseEpoch> epoch)
+{
+    MutexLock lock(mutex_);
+    PAQOC_ASSERT(epoch_ == nullptr && entries_.empty()
+                     && generation_.load(std::memory_order_relaxed) == 0,
+                 "attachEpoch needs a fresh, empty cache");
+    if (epoch != nullptr)
+        generation_.store(epoch->size(), std::memory_order_relaxed);
+    epoch_ = std::move(epoch);
+}
+
+void
 PulseCache::attachTier(PulseTierSource *tier)
 {
     tier_.store(tier, std::memory_order_release);
@@ -235,11 +309,39 @@ PulseCache::insertLocked(const std::string &key, const Matrix &unitary,
     entries_[key] = std::move(entry);
 }
 
+const CachedPulse *
+PulseCache::findLocked(const std::string &key) const
+{
+    const auto it = entries_.find(key);
+    if (it != entries_.end())
+        return &it->second;
+    return epoch_ != nullptr ? epoch_->find(key) : nullptr;
+}
+
+template <typename Fn>
+void
+PulseCache::forEachLocked(Fn &&fn) const
+{
+    // paqoc-lint: allow(unordered-iteration) callers fold the order
+    for (const auto &[key, entry] : entries_)
+        fn(key, entry);
+    if (epoch_ == nullptr)
+        return;
+    for (const auto &[key, entry] : epoch_->entries()) {
+        if (entries_.empty() || entries_.count(key) == 0)
+            fn(key, entry);
+    }
+}
+
 std::size_t
 PulseCache::size() const
 {
     MutexLock lock(mutex_);
-    return entries_.size();
+    std::size_t n = 0;
+    forEachLocked([&n](const std::string &, const CachedPulse &) {
+        ++n;
+    });
+    return n;
 }
 
 void
@@ -254,15 +356,12 @@ PulseCache::save(const std::string &path) const
     // STL hash implementations and insert histories.
     std::vector<std::pair<const std::string *, const CachedPulse *>>
         ordered;
-    ordered.reserve(entries_.size());
-    // paqoc-lint: allow(unordered-iteration) order folded by sort below
-    for (const auto &[key, e] : entries_) {
+    forEachLocked([&ordered](const std::string &key, const CachedPulse &e) {
         // Stitched fallback pulses are session-local best effort; a
         // saved database must never freeze one in.
-        if (e.degraded)
-            continue;
-        ordered.emplace_back(&key, &e);
-    }
+        if (!e.degraded)
+            ordered.emplace_back(&key, &e);
+    });
     std::sort(ordered.begin(), ordered.end(),
               [](const auto &a, const auto &b) {
                   return *a.first < *b.first;
@@ -373,30 +472,40 @@ PulseCache::load(const std::string &path)
 }
 
 const CachedPulse *
-PulseCache::nearest(const Matrix &unitary, int num_qubits,
-                    double max_distance) const
+PulseCache::nearestLocked(const Matrix &unitary, int num_qubits,
+                          double max_distance,
+                          std::uint64_t generation_bound) const
 {
-    MutexLock lock(mutex_);
     const CachedPulse *best = nullptr;
-    double best_dist = max_distance;
-    // Tie-break on the canonical key (as nearestBefore does) so the
-    // selected entry never depends on hash-map iteration order.
+    double best_dist = 0.0;
+    // Tie-break on the canonical key so equal-distance entries resolve
+    // identically regardless of hash-map iteration order or of the
+    // (thread-dependent) order concurrent inserts landed in.
     const std::string *best_key = nullptr;
-    // paqoc-lint: allow(unordered-iteration) order folded by tie-break
-    for (const auto &[key, entry] : entries_) {
-        if (entry.numQubits != num_qubits)
-            continue;
+    forEachLocked([&](const std::string &key, const CachedPulse &entry) {
+        if (entry.numQubits != num_qubits
+            || entry.generation >= generation_bound)
+            return;
         const double d = phaseInvariantDistance(entry.unitary, unitary);
         if (d > max_distance)
-            continue;
+            return;
         if (best == nullptr || d < best_dist
             || (d == best_dist && key < *best_key)) {
             best_dist = d;
             best = &entry;
             best_key = &key;
         }
-    }
+    });
     return best;
+}
+
+const CachedPulse *
+PulseCache::nearest(const Matrix &unitary, int num_qubits,
+                    double max_distance) const
+{
+    MutexLock lock(mutex_);
+    return nearestLocked(unitary, num_qubits, max_distance,
+                         std::numeric_limits<std::uint64_t>::max());
 }
 
 std::optional<CachedPulse>
@@ -405,27 +514,8 @@ PulseCache::nearestBefore(const Matrix &unitary, int num_qubits,
                           std::uint64_t generation_bound) const
 {
     MutexLock lock(mutex_);
-    const CachedPulse *best = nullptr;
-    double best_dist = 0.0;
-    // Tie-break on the canonical key so equal-distance entries resolve
-    // identically regardless of hash-map iteration order or of the
-    // (thread-dependent) order concurrent inserts landed in.
-    const std::string *best_key = nullptr;
-    // paqoc-lint: allow(unordered-iteration) order folded by tie-break
-    for (const auto &[key, entry] : entries_) {
-        if (entry.numQubits != num_qubits
-            || entry.generation >= generation_bound)
-            continue;
-        const double d = phaseInvariantDistance(entry.unitary, unitary);
-        if (d > max_distance)
-            continue;
-        if (best == nullptr || d < best_dist
-            || (d == best_dist && key < *best_key)) {
-            best_dist = d;
-            best = &entry;
-            best_key = &key;
-        }
-    }
+    const CachedPulse *best =
+        nearestLocked(unitary, num_qubits, max_distance, generation_bound);
     if (best == nullptr)
         return std::nullopt;
     return *best;

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -101,6 +102,31 @@ class PulseTierSource
 };
 
 /**
+ * An immutable layer of cached pulses, keyed by PulseCache::canonicalKey
+ * and shared read-only by any number of caches (the service's frozen
+ * serving epoch, DESIGN.md §7). It is built from entries that are
+ * already keyed -- a PulseLibrary's map -- so nothing is re-keyed.
+ * Entries are stamped generation 0..size()-1 in key order: exactly the
+ * stamps an empty cache would assign when warmed by inserting them in
+ * that order.
+ */
+class PulseEpoch
+{
+  public:
+    using Entries = std::map<std::string, CachedPulse>;
+
+    explicit PulseEpoch(Entries entries);
+
+    /** The entry stored under `key`, or nullptr. */
+    const CachedPulse *find(const std::string &key) const;
+    const Entries &entries() const { return byKey_; }
+    std::size_t size() const { return byKey_.size(); }
+
+  private:
+    Entries byKey_;
+};
+
+/**
  * Lookup table of previously generated pulses (paper Section V-B).
  *
  * Keys are canonical forms of the target unitary: global phase is
@@ -127,6 +153,11 @@ class PulseTierSource
  * The pointer-returning lookup()/nearest() remain for single-threaded
  * use (tests, serial tools); concurrent code must use acquire() and
  * nearestBefore(), which hand out copies.
+ *
+ * A cache may sit on a shared PulseEpoch (attachEpoch): every query
+ * sees the cache's own entries first and the epoch beneath them, so a
+ * local entry shadows an epoch entry of the same key. The epoch is
+ * never copied, never written, and never forwarded to the store sink.
  */
 class PulseCache
 {
@@ -198,11 +229,15 @@ class PulseCache
         const Matrix &unitary, int num_qubits, double max_distance,
         std::uint64_t generation_bound) const;
 
+    /** Visible entries: own entries plus unshadowed epoch entries. */
     std::size_t size() const;
     std::size_t hits() const
     { return hits_.load(std::memory_order_relaxed); }
 
-    /** Count of inserts so far; stamps CachedPulse::generation. */
+    /**
+     * Count of inserts so far, plus the attached epoch's size; stamps
+     * CachedPulse::generation.
+     */
     std::uint64_t generation() const
     { return generation_.load(std::memory_order_relaxed); }
 
@@ -228,6 +263,15 @@ class PulseCache
      * present are NOT replayed to the sink.
      */
     void attachStore(PulseStoreSink *sink);
+
+    /**
+     * Serve `epoch` beneath this cache's own entries. Call once, during
+     * single-threaded setup, on an empty cache: generation() then
+     * continues at epoch->size(), so stamps, nearestBefore horizons and
+     * key tie-breaks match a cache warmed by inserting the epoch's
+     * entries in key order.
+     */
+    void attachEpoch(std::shared_ptr<const PulseEpoch> epoch);
 
     /**
      * Attach the shared-tier read-through source (null detaches).
@@ -262,11 +306,35 @@ class PulseCache
                       int num_qubits, CachedPulse &&entry)
         PAQOC_REQUIRES(mutex_);
 
+    /**
+     * Closest visible entry of the width within max_distance among
+     * those stamped before generation_bound; equal distances go to the
+     * smaller canonical key.
+     */
+    const CachedPulse *nearestLocked(const Matrix &unitary, int num_qubits,
+                                     double max_distance,
+                                     std::uint64_t generation_bound) const
+        PAQOC_REQUIRES(mutex_);
+
+    /** Own entry for `key`, else the epoch's, else nullptr. */
+    const CachedPulse *findLocked(const std::string &key) const
+        PAQOC_REQUIRES(mutex_);
+
+    /**
+     * Call fn(key, entry) for every visible entry: own entries in hash
+     * order, then unshadowed epoch entries in key order. Callers must
+     * fold the order (sort or key tie-break).
+     */
+    template <typename Fn>
+    void forEachLocked(Fn &&fn) const PAQOC_REQUIRES(mutex_);
+
     mutable Mutex mutex_;
     std::unordered_map<std::string, CachedPulse> entries_
         PAQOC_GUARDED_BY(mutex_);
     std::unordered_map<std::string, std::shared_ptr<Flight>> flights_
         PAQOC_GUARDED_BY(mutex_);
+    /** Shared read-only layer beneath entries_ (may be null). */
+    std::shared_ptr<const PulseEpoch> epoch_ PAQOC_GUARDED_BY(mutex_);
     mutable std::atomic<std::size_t> hits_{0};
     std::atomic<std::uint64_t> generation_{0};
     /** Set in single-threaded setup; read under mutex_. */

@@ -186,8 +186,8 @@ PulseService::PulseService(ServiceOptions options)
         PulseLibrary::grapeFingerprint(options_.grape), lib_opts);
     // Freeze the serving epoch: whatever the libraries recovered is
     // what every request of this daemon lifetime starts from.
-    epoch_spectral_ = spectral_lib_->entriesSnapshot();
-    epoch_grape_ = grape_lib_->entriesSnapshot();
+    epoch_spectral_ = spectral_lib_->freezeEpoch();
+    epoch_grape_ = grape_lib_->freezeEpoch();
     // Chain the shared-tier write-behind sinks: every fresh local
     // derivation the libraries journal is also published to the tier
     // (tier-fetched entries are filtered by the library).
@@ -201,14 +201,10 @@ void
 PulseService::prepareCache(PulseCache &cache,
                            const std::string &backend) const
 {
-    const std::vector<CachedPulse> &epoch =
-        backend == "grape" ? epoch_grape_ : epoch_spectral_;
-    // Warm first, then attach: epoch entries must not echo back into
-    // the journal.
-    for (const CachedPulse &entry : epoch) {
-        CachedPulse copy = entry;
-        cache.insert(entry.unitary, entry.numQubits, std::move(copy));
-    }
+    // The shared layer is read in place, never inserted, so epoch
+    // entries cannot echo back into the journal.
+    cache.attachEpoch(backend == "grape" ? epoch_grape_
+                                         : epoch_spectral_);
     PulseLibrary *lib = backend == "grape" ? grape_lib_.get()
                                            : spectral_lib_.get();
     const ServiceOptions::TierHooks &hooks = backend == "grape"
@@ -297,7 +293,7 @@ PulseService::handleCompile(const Json &request,
                             const CancelToken *cancel)
 {
     const CompileJob job = compileJobFromJson(request);
-    // Per-request generators warmed from the frozen epoch: snapshot
+    // Per-request generators over the frozen epoch: snapshot
     // isolation (see the class comment).
     SpectralPulseGenerator spectral;
     GrapePulseGenerator grape(options_.grape);
@@ -487,8 +483,11 @@ PulseService::statsJson() const
     }
     s.set("checkpoints", std::move(ck));
     Json epoch = Json::object();
-    epoch.set("spectral_pulses", Json(epoch_spectral_.size()));
-    epoch.set("grape_pulses", Json(epoch_grape_.size()));
+    auto pulses = [](const std::shared_ptr<const PulseEpoch> &e) {
+        return Json(e != nullptr ? e->size() : std::size_t{0});
+    };
+    epoch.set("spectral_pulses", pulses(epoch_spectral_));
+    epoch.set("grape_pulses", pulses(epoch_grape_));
     s.set("epoch", std::move(epoch));
     auto lib = [](const PulseLibrary *l) {
         Json j = Json::object();

@@ -122,9 +122,10 @@ Json compilePayload(const CompileJob &job, const CompileReport &report,
  * concurrently by the session scheduler.
  *
  * Serving model: *epoch snapshot isolation*. At construction the
- * library contents are frozen into an epoch; every request runs
- * against its own pulse generator warmed from that frozen epoch (never
- * from another request's derivations). The compiler consults cached
+ * library contents are frozen into a shared, read-only PulseEpoch;
+ * every request runs against its own pulse generator whose cache reads
+ * that epoch in place beneath its own entries (never another
+ * request's derivations). The compiler consults cached
  * latencies when ranking and merging, so any state shared between
  * requests would make a payload depend on which requests happened to
  * run earlier -- with per-request isolation every payload is a pure
@@ -202,16 +203,19 @@ class PulseService
     Json handleGenerate(const Json &request, const CancelToken *cancel);
 
     /**
-     * Warm a per-request cache from the frozen epoch and attach the
+     * Put the frozen epoch beneath a per-request cache and attach the
      * matching library so new derivations are journaled.
      */
     void prepareCache(PulseCache &cache,
                       const std::string &backend) const;
 
     ServiceOptions options_;
-    /** Frozen at construction; per-request caches warm from these. */
-    std::vector<CachedPulse> epoch_spectral_;
-    std::vector<CachedPulse> epoch_grape_;
+    /**
+     * Frozen at construction (null without a library); every
+     * per-request cache reads these shared layers in place.
+     */
+    std::shared_ptr<const PulseEpoch> epoch_spectral_;
+    std::shared_ptr<const PulseEpoch> epoch_grape_;
     std::unique_ptr<PulseLibrary> spectral_lib_;
     std::unique_ptr<PulseLibrary> grape_lib_;
     /** Crash-safe GRAPE progress (null when checkpointing is off). */

@@ -205,9 +205,10 @@ PulseLibrary::PulseLibrary(std::string directory, std::string fingerprint,
     makeDirectory(directory_);
 
     // 1. Snapshot: the state as of the last compaction.
+    PulseEpoch::Entries recovered;
     JournalScan snap = scanJournal(
-        snapshotPath(), fingerprint_, [this](const std::string &p) {
-            applyRecord(p, stats_.snapshotRecords);
+        snapshotPath(), fingerprint_, [&](const std::string &p) {
+            applyRecord(p, stats_.snapshotRecords, recovered);
         });
     if (!snap.warning.empty())
         stats_.warnings.push_back(snap.warning);
@@ -219,8 +220,8 @@ PulseLibrary::PulseLibrary(std::string directory, std::string fingerprint,
 
     // 2. Journal: everything appended since; later records win.
     JournalScan jrn = scanJournal(
-        journalPath(), fingerprint_, [this](const std::string &p) {
-            applyRecord(p, stats_.journalRecords);
+        journalPath(), fingerprint_, [&](const std::string &p) {
+            applyRecord(p, stats_.journalRecords, recovered);
         });
     if (!jrn.warning.empty())
         stats_.warnings.push_back(jrn.warning);
@@ -238,6 +239,7 @@ PulseLibrary::PulseLibrary(std::string directory, std::string fingerprint,
     journal_ =
         JournalWriter::openAppend(journalPath(), fingerprint_,
                                   truncate_to);
+    recovered_ = std::make_shared<const PulseEpoch>(std::move(recovered));
 }
 
 PulseLibrary::~PulseLibrary()
@@ -247,7 +249,7 @@ PulseLibrary::~PulseLibrary()
 
 void
 PulseLibrary::applyRecord(const std::string &payload,
-                          std::size_t &counter)
+                          std::size_t &counter, PulseEpoch::Entries &into)
 {
     // Called during recovery only (constructor; mutex not yet shared).
     auto decoded = decodePulseRecord(payload);
@@ -258,18 +260,47 @@ PulseLibrary::applyRecord(const std::string &payload,
             + std::to_string(payload.size()) + " bytes");
         return;
     }
-    entries_[decoded->first] = std::move(decoded->second);
+    into[decoded->first] = std::move(decoded->second);
     ++counter;
+}
+
+const CachedPulse *
+PulseLibrary::findLocked(const std::string &key) const
+{
+    const auto it = fresh_.find(key);
+    return it != fresh_.end() ? &it->second : recovered_->find(key);
+}
+
+template <typename Fn>
+void
+PulseLibrary::forEachLocked(Fn &&fn) const
+{
+    // Merge the two key-ordered maps; a fresh entry replaces the
+    // recovered one of the same key.
+    const PulseEpoch::Entries &old = recovered_->entries();
+    auto r = old.begin();
+    auto f = fresh_.begin();
+    while (r != old.end() || f != fresh_.end()) {
+        if (f == fresh_.end()
+            || (r != old.end() && r->first < f->first)) {
+            fn(r->first, r->second);
+            ++r;
+            continue;
+        }
+        if (r != old.end() && r->first == f->first)
+            ++r;
+        fn(f->first, f->second);
+        ++f;
+    }
 }
 
 void
 PulseLibrary::warm(PulseCache &cache) const
 {
     MutexLock lock(mutex_);
-    for (const auto &[key, entry] : entries_) {
-        CachedPulse copy = entry;
-        cache.insert(entry.unitary, entry.numQubits, std::move(copy));
-    }
+    forEachLocked([&cache](const std::string &, const CachedPulse &e) {
+        cache.insert(e.unitary, e.numQubits, e);
+    });
 }
 
 std::vector<CachedPulse>
@@ -277,10 +308,23 @@ PulseLibrary::entriesSnapshot() const
 {
     MutexLock lock(mutex_);
     std::vector<CachedPulse> out;
-    out.reserve(entries_.size());
-    for (const auto &[key, entry] : entries_)
-        out.push_back(entry);
+    forEachLocked([&out](const std::string &, const CachedPulse &e) {
+        out.push_back(e);
+    });
     return out;
+}
+
+std::shared_ptr<const PulseEpoch>
+PulseLibrary::freezeEpoch() const
+{
+    MutexLock lock(mutex_);
+    if (fresh_.empty())
+        return recovered_;
+    PulseEpoch::Entries live;
+    forEachLocked([&live](const std::string &key, const CachedPulse &e) {
+        live.emplace_hint(live.end(), key, e);
+    });
+    return std::make_shared<const PulseEpoch>(std::move(live));
 }
 
 void
@@ -296,16 +340,16 @@ PulseLibrary::onInsert(const std::string &key, const CachedPulse &entry)
             ++stats_.skippedDegradedPulses;
             return;
         }
-        const auto it = entries_.find(key);
-        if (it != entries_.end() && it->second.latency == entry.latency
-            && it->second.error == entry.error
-            && it->second.schedule.amplitudes.size()
+        const CachedPulse *old = findLocked(key);
+        if (old != nullptr && old->latency == entry.latency
+            && old->error == entry.error
+            && old->schedule.amplitudes.size()
                 == entry.schedule.amplitudes.size()) {
             // Exact re-derivation of a stored pulse: nothing new to
             // log (and nothing new for the forward sink either).
             return;
         }
-        entries_[key] = entry;
+        fresh_[key] = entry;
         fresh = true;
         if (stats_.degraded) {
             // Read-only mode: keep serving the fresh derivation from
@@ -369,8 +413,10 @@ PulseLibrary::compact()
         {
             JournalWriter snap =
                 JournalWriter::openAppend(tmp, fingerprint_, 0);
-            for (const auto &[key, entry] : entries_)
-                snap.append(encodePulseRecord(key, entry));
+            forEachLocked(
+                [&snap](const std::string &key, const CachedPulse &e) {
+                    snap.append(encodePulseRecord(key, e));
+                });
             PAQOC_FATAL_IF(!snap.sync(), "cannot fsync snapshot '",
                            tmp, "'");
         }
@@ -420,7 +466,10 @@ std::size_t
 PulseLibrary::size() const
 {
     MutexLock lock(mutex_);
-    return entries_.size();
+    std::size_t n = recovered_->size();
+    for (const auto &[key, entry] : fresh_)
+        n += recovered_->find(key) == nullptr ? 1 : 0;
+    return n;
 }
 
 PulseLibraryStats

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -105,14 +106,19 @@ class PulseLibrary : public PulseStoreSink
     /** Insert every stored pulse into `cache` (call before attach). */
     void warm(PulseCache &cache) const;
 
-    /**
-     * Copy of the live entries, ordered by canonical key. The service
-     * freezes this at startup as its serving epoch (see
-     * PulseService): requests warm per-request caches from the frozen
-     * copy, so concurrent serving stays deterministic while fresh
-     * derivations keep journaling here for the next launch.
-     */
+    /** Copy of the live entries, ordered by canonical key. */
     std::vector<CachedPulse> entriesSnapshot() const;
+
+    /**
+     * The live entries as a shared, immutable PulseEpoch under the keys
+     * stored here (nothing is re-keyed). Until the first accepted
+     * insert this is the recovered layer itself, so freezing costs no
+     * copy. The service freezes once at startup (see PulseService):
+     * every request's cache reads the frozen layer in place, so
+     * concurrent serving stays deterministic while fresh derivations
+     * keep journaling here for the next launch.
+     */
+    std::shared_ptr<const PulseEpoch> freezeEpoch() const;
 
     /** PulseStoreSink: journal one published cache entry. */
     void onInsert(const std::string &key,
@@ -153,8 +159,17 @@ class PulseLibrary : public PulseStoreSink
      * Recovery-time only (runs in the constructor, before the object
      * is shared), hence exempt from the lock analysis.
      */
-    void applyRecord(const std::string &payload, std::size_t &counter)
+    void applyRecord(const std::string &payload, std::size_t &counter,
+                     PulseEpoch::Entries &into)
         PAQOC_NO_THREAD_SAFETY_ANALYSIS;
+
+    /** Entry for `key` (fresh first, then recovered), or nullptr. */
+    const CachedPulse *findLocked(const std::string &key) const
+        PAQOC_REQUIRES(mutex_);
+
+    /** Call fn(key, entry) for every live entry, in key order. */
+    template <typename Fn>
+    void forEachLocked(Fn &&fn) const PAQOC_REQUIRES(mutex_);
 
     /**
      * Flip to read-only degraded mode after a persistence failure:
@@ -171,9 +186,14 @@ class PulseLibrary : public PulseStoreSink
     std::string directory_;
     std::string fingerprint_;
     PulseLibraryOptions options_;
-    /** Ordered by canonical key so snapshots are deterministic. */
-    std::map<std::string, CachedPulse> entries_
-        PAQOC_GUARDED_BY(mutex_);
+    /**
+     * Everything recovered at open, frozen (set in the constructor,
+     * immutable afterwards). Ordered by canonical key so snapshots are
+     * deterministic.
+     */
+    std::shared_ptr<const PulseEpoch> recovered_;
+    /** Entries accepted since open; they shadow recovered_. */
+    PulseEpoch::Entries fresh_ PAQOC_GUARDED_BY(mutex_);
     JournalWriter journal_ PAQOC_GUARDED_BY(mutex_);
     PulseLibraryStats stats_ PAQOC_GUARDED_BY(mutex_);
     /** Set in single-threaded setup; reads are lock-free. */

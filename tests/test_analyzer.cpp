@@ -18,6 +18,8 @@
 #include "lint/passes.h"
 #include "lint/sarif.h"
 
+#include "scratch_dir.h"
+
 namespace {
 
 using paqoc::lint::AnalyzeOptions;
@@ -265,9 +267,7 @@ class TempTree : public ::testing::Test
 protected:
     void SetUp() override
     {
-        root_ = std::filesystem::temp_directory_path()
-            / "paqoc_analyzer_test";
-        std::filesystem::remove_all(root_);
+        root_ = paqoc::test_support::scratchDir("analyzer_tree");
         std::filesystem::create_directories(root_ / "src/demo");
         write("src/demo/thing.h",
               "#ifndef PAQOC_DEMO_THING_H_\n"

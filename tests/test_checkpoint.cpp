@@ -25,6 +25,8 @@
 #include "qoc/pulse_generator.h"
 #include "store/checkpoint_store.h"
 
+#include "scratch_dir.h"
+
 namespace paqoc {
 namespace {
 
@@ -36,14 +38,7 @@ struct FailpointGuard
     ~FailpointGuard() { fp::disarmAll(); }
 };
 
-std::string
-scratchDir(const std::string &name)
-{
-    const std::string dir = "/tmp/paqoc_test_checkpoint_" + name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-}
+using test_support::scratchDir;
 
 /** Options that run the full iteration budget (no early convergence). */
 GrapeOptions

@@ -41,6 +41,8 @@
 #include "store/journal.h"
 #include "store/pulse_library.h"
 
+#include "scratch_dir.h"
+
 namespace paqoc {
 namespace {
 
@@ -56,14 +58,7 @@ struct FailpointGuard
     ~FailpointGuard() { fp::disarmAll(); }
 };
 
-std::string
-scratchDir(const std::string &name)
-{
-    const std::string dir = "/tmp/paqoc_test_failpoints_" + name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-}
+using test_support::scratchDir;
 
 /** A healthy (non-degraded) library entry for a 1-qubit gate. */
 CachedPulse

@@ -813,6 +813,36 @@ TEST(FleetRouter, CrashedWorkerIsRestartedAndKeepsServing)
     EXPECT_EQ(slots[1].incarnations, 1);
 }
 
+TEST(FleetRouter, ConnectionQueuedOnAnExitingWorkerIsHandedOn)
+{
+    const fleet::RouterOptions opts =
+        scratchRouterOptions("stranded", 2);
+    // Slot 0's first incarnation never reads its control channel and
+    // exits after a while, so the connection handed to it is still
+    // queued when it dies. The router must take it back and hand it
+    // to slot 1 instead of dropping it.
+    fleet::Router router(
+        opts, [](const fleet::FleetWorkerContext &ctx) {
+            if (ctx.slot == 0 && ctx.incarnation == 0) {
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(100));
+                return 7;
+            }
+            return echoWorker(ctx);
+        });
+    router.start();
+    std::thread loop([&router]() { router.runLoop(); });
+
+    EXPECT_EQ(askFleet(opts.socketPath), '1');
+
+    router.requestStop();
+    loop.join();
+    const auto slots = router.slotStats();
+    ASSERT_EQ(slots.size(), 2u);
+    EXPECT_EQ(slots[0].handed, 0);
+    EXPECT_EQ(slots[1].handed, 1);
+}
+
 TEST(FleetRouter, OneWorkersCleanExitDrainsTheFleet)
 {
     const fleet::RouterOptions opts = scratchRouterOptions("drain", 2);

@@ -5,8 +5,11 @@
  * Hermitian Jacobi eigensolver, and unitary utilities.
  */
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -397,6 +400,52 @@ TEST(UnitaryUtil, DistinctUnitariesAreDistant)
     const Matrix x{{0.0, 1.0}, {1.0, 0.0}};
     EXPECT_FALSE(equalUpToGlobalPhase(x, Matrix::identity(2)));
     EXPECT_GT(phaseInvariantDistance(x, Matrix::identity(2)), 0.5);
+}
+
+TEST(UnitaryUtil, PauliBasisFirstUseIsThreadSafe)
+{
+    // ctest runs each case in a fresh process, so these are the
+    // process's first pauliSplitNorms calls: 8 threads race to build
+    // every width's Pauli table at once. Under ThreadSanitizer an
+    // unguarded fill reports a race; here every thread must also see
+    // the fully built tables.
+    Rng rng(47);
+    std::vector<Matrix> targets;
+    for (int n = 1; n <= 4; ++n)
+        targets.push_back(randomUnitary(std::size_t{1} << n, rng));
+    constexpr int kThreads = 8;
+    std::vector<std::vector<PauliSplitNorms>> seen(kThreads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            // Each thread walks the widths in a different order.
+            for (int i = 0; i < 4; ++i) {
+                const int n = 1 + (i + t) % 4;
+                seen[static_cast<std::size_t>(t)].push_back(pauliSplitNorms(
+                    targets[static_cast<std::size_t>(n - 1)], n));
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (int t = 0; t < kThreads; ++t) {
+        for (int i = 0; i < 4; ++i) {
+            const int n = 1 + (i + t) % 4;
+            const PauliSplitNorms want = pauliSplitNorms(
+                targets[static_cast<std::size_t>(n - 1)], n);
+            const PauliSplitNorms &got =
+                seen[static_cast<std::size_t>(t)]
+                    [static_cast<std::size_t>(i)];
+            EXPECT_EQ(got.localNorm, want.localNorm);
+            EXPECT_EQ(got.entanglingNorm, want.entanglingNorm);
+            EXPECT_EQ(got.adjacentPairNorm, want.adjacentPairNorm);
+            EXPECT_EQ(got.hardNorm, want.hardNorm);
+        }
+    }
 }
 
 } // namespace

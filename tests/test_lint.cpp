@@ -18,6 +18,8 @@
 
 #include "lint/lint.h"
 
+#include "scratch_dir.h"
+
 namespace {
 
 using paqoc::lint::Finding;
@@ -305,9 +307,7 @@ TEST(Lint, StringAndCommentTokensNeverTrip)
 TEST(Lint, TreeWalkUsesCompanionHeaderDeclsAndSortsFindings)
 {
     namespace fs = std::filesystem;
-    const fs::path root =
-        fs::temp_directory_path() / "paqoc_lint_tree_test";
-    fs::remove_all(root);
+    const fs::path root = paqoc::test_support::scratchDir("lint_tree");
     fs::create_directories(root / "src/demo");
     {
         std::ofstream h(root / "src/demo/thing.h");

@@ -6,7 +6,11 @@
  */
 
 #include <cmath>
+#include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +28,8 @@
 #include "qoc/pulse_cache.h"
 #include "qoc/pulse_generator.h"
 #include "qoc/pulse_io.h"
+
+#include "scratch_dir.h"
 
 namespace paqoc {
 namespace {
@@ -320,6 +326,343 @@ TEST(PulseCache, NearestRespectsRadius)
     EXPECT_EQ(cache.nearest(cp, 1, 10.0), nullptr); // width filter
 }
 
+// ---- Canonical key bytes ----
+//
+// Keys name journal records, checkpoint files and tier entries, so
+// their bytes must never change. The original formatter is kept here
+// as the reference.
+
+/** The original key formatter: printf of the values rounded at 1e-4. */
+std::string
+referenceQuantized(Complex z)
+{
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "%.4f,%.4f;",
+                  std::round(z.real() * 1e4) / 1e4 + 0.0,
+                  std::round(z.imag() * 1e4) / 1e4 + 0.0);
+    return buf;
+}
+
+/**
+ * A 1-qubit matrix [[pivot, a], [b, c]] whose real pivot dominates
+ * every other entry: phase normalization then multiplies by exactly
+ * one, so its key is the formatter applied to the raw values.
+ */
+Matrix
+dominated(double pivot, Complex a, Complex b, Complex c)
+{
+    Matrix m(2, 2);
+    m(0, 0) = pivot;
+    m(0, 1) = a;
+    m(1, 0) = b;
+    m(1, 1) = c;
+    return m;
+}
+
+std::string
+referenceKey(const Matrix &m)
+{
+    return "1:" + referenceQuantized(m(0, 0))
+        + referenceQuantized(m(0, 1)) + referenceQuantized(m(1, 0))
+        + referenceQuantized(m(1, 1));
+}
+
+Matrix
+randomUnitary(std::size_t n, Rng &rng)
+{
+    Matrix h(n, n);
+    for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c < n; ++c)
+            h(r, c) = Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
+    h = h + h.adjoint();
+    h *= Complex(0.5, 0.0);
+    return expm(h * Complex(0.0, -1.0));
+}
+
+TEST(CanonicalKey, GoldenBytes)
+{
+    EXPECT_EQ(PulseCache::canonicalKey(Gate(Op::CX, {0, 1}).unitary(), 2),
+              "2:1.0000,0.0000;0.0000,0.0000;0.0000,0.0000;0.0000,0.0000;"
+              "0.0000,0.0000;0.0000,0.0000;0.0000,0.0000;1.0000,0.0000;"
+              "0.0000,0.0000;0.0000,0.0000;1.0000,0.0000;0.0000,0.0000;"
+              "0.0000,0.0000;1.0000,0.0000;0.0000,0.0000;0.0000,0.0000;");
+    EXPECT_EQ(PulseCache::canonicalKey(Gate(Op::RZ, {0}, 0.3).unitary(), 1),
+              "1:1.0000,0.0000;0.0000,0.0000;0.0000,0.0000;0.9553,0.2955;");
+    Rng rng(2024);
+    const std::string random_key =
+        "3:"
+        "-0.0275,0.3633;-0.0745,-0.1211;0.1186,0.1068;-0.1118,0.1867;"
+        "-0.3020,0.3778;-0.3895,-0.0891;-0.4626,-0.0392;-0.3966,0.0886;"
+        "0.3191,-0.0695;-0.0060,-0.2461;-0.1809,0.1187;0.0905,-0.3207;"
+        "-0.2923,-0.2782;0.2583,-0.2539;-0.2409,0.5245;-0.1970,0.0949;"
+        "-0.3245,0.0200;-0.0083,-0.0110;0.3464,-0.1322;0.5121,-0.0886;"
+        "-0.4465,-0.2280;-0.2714,0.2212;-0.0325,0.1656;0.2901,0.0059;"
+        "-0.3703,-0.0640;0.5639,0.2006;-0.1140,-0.1435;-0.0952,-0.3440;"
+        "0.2357,0.1307;-0.1967,-0.2643;-0.2334,0.1712;0.1014,0.2536;"
+        "0.4530,0.1656;-0.0908,0.0122;0.2200,-0.4929;-0.0153,-0.0388;"
+        "0.0961,-0.1168;-0.2940,-0.5124;0.0011,-0.0718;0.2378,-0.1797;"
+        "0.1647,0.1711;0.3038,0.2259;0.2064,-0.2326;-0.2554,0.0047;"
+        "-0.2170,-0.3640;0.0091,0.1999;0.2996,-0.1019;-0.3912,0.4068;"
+        "0.2163,-0.1980;0.6041,0.0000;0.3306,0.1175;0.0688,0.2815;"
+        "-0.1009,0.2420;0.0884,-0.0100;0.1003,0.2168;-0.0821,-0.4488;"
+        "0.1996,-0.3143;-0.0016,-0.2100;0.4596,0.1849;-0.2945,-0.4544;"
+        "0.0833,-0.0339;-0.0596,0.2785;-0.3120,-0.2818;0.1127,0.0082;";
+    EXPECT_EQ(PulseCache::canonicalKey(randomUnitary(8, rng), 3), random_key);
+}
+
+TEST(CanonicalKey, RoundingBoundariesAndNegativeZero)
+{
+    // Every +-x.xxxx5 boundary in [-2, 2], and the doubles either
+    // side of it, formatted as the reference formats them.
+    for (int k = -20000; k < 20000; ++k) {
+        const double mid = (k + 0.5) / 1e4;
+        const Matrix m =
+            dominated(4.0, Complex(mid, -mid),
+                      Complex(std::nextafter(mid, -3.0),
+                              std::nextafter(mid, 3.0)),
+                      Complex(-std::nextafter(mid, 3.0),
+                              -std::nextafter(mid, -3.0)));
+        ASSERT_EQ(PulseCache::canonicalKey(m, 1), referenceKey(m))
+            << "k=" << k;
+    }
+    // Negative zero, and values that round to it, print as 0.0000.
+    const Matrix zeros = dominated(4.0, Complex(-0.0, -0.0),
+                                   Complex(-0.00004, -4e-9),
+                                   Complex(0.00004, -0.0));
+    EXPECT_EQ(PulseCache::canonicalKey(zeros, 1),
+              "1:4.0000,0.0000;0.0000,0.0000;0.0000,0.0000;"
+              "0.0000,0.0000;");
+    EXPECT_EQ(PulseCache::canonicalKey(zeros, 1), referenceKey(zeros));
+}
+
+TEST(CanonicalKey, MatchesReferenceFormatterOnRandomValues)
+{
+    Rng rng(91);
+    for (int i = 0; i < 100000; ++i) {
+        auto value = [&] { return rng.uniform(-2.0, 2.0); };
+        const Matrix m =
+            dominated(4.0, Complex(value(), value()),
+                      Complex(value(), value()),
+                      Complex(value(), value()));
+        ASSERT_EQ(PulseCache::canonicalKey(m, 1), referenceKey(m))
+            << "i=" << i;
+    }
+    // Far outside a unitary's range, including magnitudes past the
+    // integer fast path.
+    for (int i = 0; i < 20000; ++i) {
+        auto value = [&] {
+            return rng.uniform(-1.0, 1.0)
+                * std::pow(10.0, rng.uniform(-6.0, 12.0));
+        };
+        const Matrix m =
+            dominated(1e13, Complex(value(), value()),
+                      Complex(value(), value()),
+                      Complex(value(), value()));
+        ASSERT_EQ(PulseCache::canonicalKey(m, 1), referenceKey(m))
+            << "i=" << i;
+    }
+}
+
+// ---- Shared epoch layer ----
+
+const Matrix kX{{0.0, 1.0}, {1.0, 0.0}};
+const Matrix kY{{Complex(0, 0), Complex(0, -1)},
+                {Complex(0, 1), Complex(0, 0)}};
+const Matrix kZ{{1.0, 0.0}, {0.0, -1.0}};
+
+CachedPulse
+pulseOf(const Matrix &u, double latency)
+{
+    CachedPulse e;
+    e.unitary = u;
+    e.numQubits = 1;
+    e.latency = latency;
+    return e;
+}
+
+/** An epoch keyed the way a library keys its entries. */
+std::shared_ptr<const PulseEpoch>
+epochOf(const std::vector<CachedPulse> &entries)
+{
+    PulseEpoch::Entries keyed;
+    for (const CachedPulse &e : entries)
+        keyed[PulseCache::canonicalKey(e.unitary, e.numQubits)] = e;
+    return std::make_shared<const PulseEpoch>(std::move(keyed));
+}
+
+/** The old serving path: insert the entries in canonical-key order. */
+void
+warmByInsert(PulseCache &cache, const std::vector<CachedPulse> &entries)
+{
+    const std::shared_ptr<const PulseEpoch> keyed = epochOf(entries);
+    for (const auto &[key, e] : keyed->entries())
+        cache.insert(e.unitary, e.numQubits, e);
+}
+
+TEST(PulseEpoch, KeyOrderOfTheTestGates)
+{
+    // The tie-break tests below rely on this order: Y < X < Z.
+    const std::string x = PulseCache::canonicalKey(kX, 1);
+    EXPECT_LT(PulseCache::canonicalKey(kY, 1), x);
+    EXPECT_LT(x, PulseCache::canonicalKey(kZ, 1));
+}
+
+TEST(PulseEpoch, HitIsServedFromTheLayer)
+{
+    const auto epoch = epochOf({pulseOf(kX, 30.0), pulseOf(kZ, 20.0)});
+    PulseCache cache;
+    cache.attachEpoch(epoch);
+    EXPECT_EQ(cache.generation(), 2u);
+    EXPECT_EQ(cache.size(), 2u);
+
+    const PulseCache::Acquired acq = cache.acquire(kX, 1);
+    EXPECT_EQ(acq.role, PulseCache::FlightRole::Hit);
+    ASSERT_TRUE(acq.entry.has_value());
+    EXPECT_DOUBLE_EQ(acq.entry->latency, 30.0);
+    EXPECT_EQ(acq.entry->generation, 0u);
+    // A global phase maps onto the same epoch key.
+    const std::optional<CachedPulse> z =
+        cache.find(kZ * std::exp(kI * 0.4), 1);
+    ASSERT_TRUE(z.has_value());
+    EXPECT_DOUBLE_EQ(z->latency, 20.0);
+    EXPECT_EQ(z->generation, 1u);
+    const CachedPulse *x = cache.lookup(kX, 1);
+    ASSERT_NE(x, nullptr);
+    EXPECT_EQ(x, epoch->find(PulseCache::canonicalKey(kX, 1)));
+    EXPECT_EQ(cache.hits(), 3u);
+    EXPECT_FALSE(cache.find(kY, 1).has_value());
+    // A miss outside the layer still elects a leader.
+    EXPECT_EQ(cache.acquire(kY, 1).role, PulseCache::FlightRole::Leader);
+    cache.abortFlight(kY, 1);
+}
+
+TEST(PulseEpoch, LocalEntryShadowsTheLayer)
+{
+    const auto epoch = epochOf({pulseOf(kX, 30.0)});
+    PulseCache cache;
+    cache.attachEpoch(epoch);
+    cache.insert(kX, 1, pulseOf(kX, 25.0));
+    const std::optional<CachedPulse> hit = cache.find(kX, 1);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_DOUBLE_EQ(hit->latency, 25.0);
+    EXPECT_EQ(hit->generation, 1u);
+    EXPECT_EQ(cache.acquire(kX, 1).entry->latency, 25.0);
+    EXPECT_EQ(cache.size(), 1u);
+
+    // The layer itself is untouched: a second cache still sees it.
+    EXPECT_DOUBLE_EQ(
+        epoch->find(PulseCache::canonicalKey(kX, 1))->latency, 30.0);
+    PulseCache other;
+    other.attachEpoch(epoch);
+    EXPECT_DOUBLE_EQ(other.find(kX, 1)->latency, 30.0);
+}
+
+TEST(PulseEpoch, NearestBeforeSeesBothLayersLikeAnInsertWarmedCache)
+{
+    // X, Y and Z are all at distance 2 from the identity, so every
+    // query below is decided by the generation horizon and the
+    // canonical-key tie-break (Y < X < Z).
+    const std::vector<CachedPulse> frozen = {pulseOf(kX, 30.0),
+                                             pulseOf(kZ, 20.0)};
+    PulseCache layered;
+    layered.attachEpoch(epochOf(frozen));
+    PulseCache reference;
+    warmByInsert(reference, frozen);
+    for (PulseCache *cache : {&layered, &reference})
+        cache->insert(kY, 1, pulseOf(kY, 10.0));
+    EXPECT_EQ(layered.generation(), reference.generation());
+
+    const Matrix id = Matrix::identity(2);
+    const std::vector<std::pair<std::uint64_t, double>> expected = {
+        {0, -1.0}, // nothing before generation 0
+        {1, 30.0}, // X only
+        {2, 30.0}, // X and Z tie: X has the smaller key
+        {3, 10.0}, // local Y wins the tie against epoch X
+    };
+    for (const auto &[bound, latency] : expected) {
+        for (PulseCache *cache : {&layered, &reference}) {
+            const std::optional<CachedPulse> seed =
+                cache->nearestBefore(id, 1, 3.0, bound);
+            if (latency < 0) {
+                EXPECT_FALSE(seed.has_value()) << bound;
+                continue;
+            }
+            ASSERT_TRUE(seed.has_value()) << bound;
+            EXPECT_DOUBLE_EQ(seed->latency, latency) << bound;
+        }
+    }
+    // Horizon 1 hides epoch Z even from a query at Z itself.
+    for (PulseCache *cache : {&layered, &reference})
+        EXPECT_DOUBLE_EQ(cache->nearestBefore(kZ, 1, 3.0, 1)->latency,
+                         30.0);
+    // Both caches pick the same entry under nearest() as well.
+    EXPECT_DOUBLE_EQ(layered.nearest(id, 1, 3.0)->latency,
+                     reference.nearest(id, 1, 3.0)->latency);
+
+    // Re-inserting Z moves it past the horizon in both views: the
+    // shadowed epoch copy must not leak back in.
+    for (PulseCache *cache : {&layered, &reference})
+        cache->insert(kZ, 1, pulseOf(kZ, 15.0));
+    for (PulseCache *cache : {&layered, &reference}) {
+        EXPECT_FALSE(cache->nearestBefore(kZ, 1, 0.5, 3).has_value());
+        EXPECT_DOUBLE_EQ(cache->nearestBefore(kZ, 1, 0.5, 4)->latency,
+                         15.0);
+    }
+}
+
+TEST(PulseEpoch, SizeAndSaveIncludeTheLayer)
+{
+    const std::vector<CachedPulse> frozen = {pulseOf(kX, 30.0),
+                                             pulseOf(kZ, 20.0)};
+    PulseCache layered;
+    layered.attachEpoch(epochOf(frozen));
+    PulseCache reference;
+    warmByInsert(reference, frozen);
+    for (PulseCache *cache : {&layered, &reference}) {
+        cache->insert(kY, 1, pulseOf(kY, 10.0));
+        cache->insert(kZ, 1, pulseOf(kZ, 15.0)); // shadows the layer
+    }
+    EXPECT_EQ(layered.size(), 3u);
+    EXPECT_EQ(layered.size(), reference.size());
+
+    const std::string dir = test_support::scratchDir("epoch_save");
+    layered.save(dir + "/layered.db");
+    reference.save(dir + "/reference.db");
+    auto slurp = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+    };
+    EXPECT_EQ(slurp(dir + "/layered.db"), slurp(dir + "/reference.db"));
+
+    PulseCache loaded;
+    loaded.load(dir + "/layered.db");
+    EXPECT_EQ(loaded.size(), 3u);
+    EXPECT_DOUBLE_EQ(loaded.find(kX, 1)->latency, 30.0);
+    EXPECT_DOUBLE_EQ(loaded.find(kZ, 1)->latency, 15.0);
+}
+
+TEST(PulseEpoch, LayerEntriesAreNeverSentToTheStore)
+{
+    struct Recorder : PulseStoreSink
+    {
+        std::vector<std::string> keys;
+        void
+        onInsert(const std::string &key, const CachedPulse &) override
+        {
+            keys.push_back(key);
+        }
+    } sink;
+    PulseCache cache;
+    cache.attachEpoch(epochOf({pulseOf(kX, 30.0)}));
+    cache.attachStore(&sink);
+    EXPECT_TRUE(cache.find(kX, 1).has_value());
+    EXPECT_TRUE(sink.keys.empty());
+    cache.insert(kY, 1, pulseOf(kY, 10.0));
+    EXPECT_EQ(sink.keys,
+              std::vector<std::string>{PulseCache::canonicalKey(kY, 1)});
+}
+
 TEST(PulseGenerator, SpectralCachesRepeatGates)
 {
     SpectralPulseGenerator gen;
@@ -349,7 +692,8 @@ TEST(PulseCache, DatabaseRoundTripOfflineOnline)
     // The paper's offline/online split (contribution 5): an offline
     // run generates pulses and saves the database; a fresh online run
     // loads it and serves every request as a cache hit.
-    const std::string path = "/tmp/paqoc_test_pulse_db.txt";
+    const std::string path =
+        test_support::scratchDir("db_roundtrip") + "/pulse_db.txt";
     const Matrix cx = Gate(Op::CX, {0, 1}).unitary();
     const Matrix h = Gate(Op::H, {0}).unitary();
 
@@ -371,7 +715,8 @@ TEST(PulseCache, DatabaseRoundTripOfflineOnline)
 
 TEST(PulseCache, DatabasePreservesGrapeSchedules)
 {
-    const std::string path = "/tmp/paqoc_test_pulse_db_grape.txt";
+    const std::string path =
+        test_support::scratchDir("db_grape") + "/pulse_db.txt";
     GrapeOptions opts;
     GrapePulseGenerator offline(opts);
     const Matrix h = Gate(Op::H, {0}).unitary();
@@ -399,7 +744,8 @@ TEST(PulseCache, DatabasePreservesGrapeSchedules)
 
 TEST(PulseCache, LoadRejectsCorruptDatabase)
 {
-    const std::string path = "/tmp/paqoc_test_pulse_db_bad.txt";
+    const std::string path =
+        test_support::scratchDir("db_corrupt") + "/pulse_db.txt";
     {
         std::ofstream out(path);
         out << "not-a-db 9\n";
@@ -414,8 +760,9 @@ TEST(PulseCache, LoadNamesTheBadLineAndLoadsNothing)
     // Build a valid database, then truncate it mid-entry: the error
     // must cite the offending line and the cache must stay empty (no
     // partial load).
-    const std::string good = "/tmp/paqoc_test_pulse_db_good.txt";
-    const std::string bad = "/tmp/paqoc_test_pulse_db_torn.txt";
+    const std::string dir = test_support::scratchDir("db_bad_line");
+    const std::string good = dir + "/pulse_db_good.txt";
+    const std::string bad = dir + "/pulse_db_torn.txt";
     SpectralPulseGenerator gen;
     gen.generate(Gate(Op::CX, {0, 1}).unitary(), 2);
     gen.generate(Gate(Op::H, {0}).unitary(), 1);
@@ -451,7 +798,7 @@ TEST(PulseCache, LoadNamesTheBadLineAndLoadsNothing)
     EXPECT_EQ(cache.size(), 0u); // all-or-nothing
 
     // A garbage record type is also named.
-    const std::string junk = "/tmp/paqoc_test_pulse_db_junk.txt";
+    const std::string junk = dir + "/pulse_db_junk.txt";
     {
         std::ofstream out(junk);
         out << "paqoc-pulse-db 1\n";

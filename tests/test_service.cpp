@@ -29,16 +29,12 @@
 #include "service/server.h"
 #include "service/service.h"
 
+#include "scratch_dir.h"
+
 namespace paqoc {
 namespace {
 
-std::string
-scratchDir(const std::string &name)
-{
-    const std::string dir = "/tmp/paqoc_test_service_" + name;
-    std::system(("rm -rf '" + dir + "'").c_str());
-    return dir;
-}
+using test_support::scratchDir;
 
 TEST(Protocol, FramesRoundTripOverSocketpair)
 {
@@ -268,6 +264,66 @@ TEST(PulseService, WarmStartServesSecondLaunchFromLibrary)
     EXPECT_EQ(warm2.handle(compileRequest("rd32")).at("payload")
                   .dump(),
               r.at("payload").dump());
+}
+
+TEST(PulseService, EpochLayerServesLikeAnInsertWarmedCache)
+{
+    // Requests read the frozen epoch in place. Their payloads must be
+    // byte-identical to the old serving path, which copied the
+    // recovered entries into each request's cache with insert().
+    const std::string dir = scratchDir("epoch_layer");
+    ServiceOptions opts;
+    opts.libraryDir = dir;
+    std::vector<Json> requests;
+    for (const char *b : {"rd32", "4gt10", "decod24"}) {
+        requests.push_back(compileRequest(b));
+        Json tuned = compileRequest(b);
+        tuned.set("m", Json("tuned"));
+        requests.push_back(tuned);
+        Json accqoc = compileRequest(b);
+        accqoc.set("method", Json("accqoc"));
+        requests.push_back(accqoc);
+    }
+    {
+        PulseService history(opts);
+        for (const Json &request : requests)
+            ASSERT_TRUE(history.handle(request).at("ok").asBool());
+        history.persist();
+    }
+    const std::vector<CachedPulse> recovered =
+        PulseLibrary(dir + "/spectral",
+                     PulseLibrary::spectralFingerprint())
+            .entriesSnapshot();
+    ASSERT_FALSE(recovered.empty());
+
+    PulseService service(opts);
+    for (const Json &request : requests) {
+        const Json r = service.handle(request);
+        ASSERT_TRUE(r.at("ok").asBool());
+        // Fully warm: every pulse call is an epoch hit.
+        EXPECT_EQ(r.at("stats").at("pulse_calls").asInt(),
+                  r.at("stats").at("cache_hits").asInt());
+
+        const CompileJob job = compileJobFromJson(request);
+        SpectralPulseGenerator reference;
+        for (const CachedPulse &e : recovered)
+            reference.cache().insert(e.unitary, e.numQubits, e);
+        const CompileReport report = runCompileJob(job, reference);
+        EXPECT_EQ(r.at("payload").dump(),
+                  compilePayload(job, report, reference).dump())
+            << request.dump();
+    }
+    // Nothing from the epoch was echoed back into the journal.
+    Json stats_request = Json::object();
+    stats_request.set("op", Json("stats"));
+    const Json stats = service.handle(stats_request).at("payload");
+    EXPECT_EQ(stats.at("libraries")
+                  .at("spectral")
+                  .at("appended_records")
+                  .asInt(),
+              0);
+    EXPECT_EQ(stats.at("epoch").at("spectral_pulses").asInt(),
+              static_cast<int>(recovered.size()));
 }
 
 TEST(PulseService, WarmStartSkipsGrapeEntirely)

@@ -10,10 +10,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -25,17 +25,12 @@
 #include "store/journal.h"
 #include "store/pulse_library.h"
 
+#include "scratch_dir.h"
+
 namespace paqoc {
 namespace {
 
-/** Fresh scratch directory per test. */
-std::string
-scratchDir(const std::string &name)
-{
-    const std::string dir = "/tmp/paqoc_test_store_" + name;
-    std::system(("rm -rf '" + dir + "'").c_str());
-    return dir;
-}
+using test_support::scratchDir;
 
 std::string
 readFile(const std::string &path)
@@ -73,7 +68,6 @@ TEST(Crc32, SeedChainsIncrementally)
 TEST(Journal, RoundTripsRecordsInOrder)
 {
     const std::string dir = scratchDir("roundtrip");
-    ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
     const std::string path = dir + "/j.bin";
     {
         JournalWriter w = JournalWriter::openAppend(path, "fp-1", 0);
@@ -108,7 +102,6 @@ TEST(Journal, MissingFileScansClean)
 TEST(Journal, RecoversCommittedPrefixOfTornWrite)
 {
     const std::string dir = scratchDir("torn");
-    ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
     const std::string path = dir + "/j.bin";
     {
         JournalWriter w = JournalWriter::openAppend(path, "fp", 0);
@@ -157,7 +150,6 @@ TEST(Journal, RecoversCommittedPrefixOfTornWrite)
 TEST(Journal, SkipsCorruptRecordTail)
 {
     const std::string dir = scratchDir("crc");
-    ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
     const std::string path = dir + "/j.bin";
     {
         JournalWriter w = JournalWriter::openAppend(path, "fp", 0);
@@ -183,7 +175,6 @@ TEST(Journal, SkipsCorruptRecordTail)
 TEST(Journal, RejectsForeignFingerprint)
 {
     const std::string dir = scratchDir("foreign");
-    ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
     const std::string path = dir + "/j.bin";
     {
         JournalWriter w =
@@ -201,7 +192,6 @@ TEST(Journal, RejectsForeignFingerprint)
 TEST(Journal, RejectsGarbageHeader)
 {
     const std::string dir = scratchDir("garbage");
-    ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
     const std::string path = dir + "/j.bin";
     writeFile(path, "this is not a journal at all");
     const JournalScan scan = scanJournal(
@@ -408,6 +398,57 @@ TEST(PulseLibrary, EntriesSnapshotIsSortedByKey)
                                        snap[1].numQubits));
 }
 
+TEST(PulseLibrary, FreezeEpochSharesTheRecoveredLayerUntilAnInsert)
+{
+    const std::string dir = scratchDir("freeze");
+    const Matrix cx = Gate(Op::CX, {0, 1}).unitary();
+    const Matrix h = Gate(Op::H, {0}).unitary();
+    const Matrix swap = Gate(Op::SWAP, {0, 1}).unitary();
+    const std::string cx_key = PulseCache::canonicalKey(cx, 2);
+    {
+        PulseLibrary lib(dir, "fp");
+        lib.onInsert(cx_key, makeEntry(cx, 2, 100.0));
+        lib.onInsert(PulseCache::canonicalKey(h, 1),
+                     makeEntry(h, 1, 20.0));
+    }
+    PulseLibrary lib(dir, "fp");
+    // Nothing added since open: every freeze is the recovered layer
+    // itself, keyed by the stored keys and stamped in key order.
+    const std::shared_ptr<const PulseEpoch> epoch = lib.freezeEpoch();
+    EXPECT_EQ(lib.freezeEpoch(), epoch);
+    ASSERT_EQ(epoch->size(), 2u);
+    std::uint64_t stamp = 0;
+    for (const auto &[key, entry] : epoch->entries()) {
+        EXPECT_EQ(key, PulseCache::canonicalKey(entry.unitary,
+                                                entry.numQubits));
+        EXPECT_EQ(entry.generation, stamp++);
+    }
+
+    // An update and a new key: later freezes merge them in, the
+    // earlier epoch stays as it was.
+    lib.onInsert(cx_key, makeEntry(cx, 2, 90.0));
+    lib.onInsert(PulseCache::canonicalKey(swap, 2),
+                 makeEntry(swap, 2, 200.0));
+    EXPECT_EQ(lib.size(), 3u);
+    const std::shared_ptr<const PulseEpoch> later = lib.freezeEpoch();
+    EXPECT_NE(later, epoch);
+    EXPECT_EQ(later->size(), 3u);
+    EXPECT_DOUBLE_EQ(later->find(cx_key)->latency, 90.0);
+    EXPECT_DOUBLE_EQ(epoch->find(cx_key)->latency, 100.0);
+    const std::vector<CachedPulse> snap = lib.entriesSnapshot();
+    ASSERT_EQ(snap.size(), 3u);
+    std::size_t i = 0;
+    for (const auto &[key, entry] : later->entries())
+        EXPECT_DOUBLE_EQ(snap[i++].latency, entry.latency) << key;
+
+    // Compaction writes the merged view.
+    lib.compact();
+    PulseLibrary reopened(dir, "fp");
+    EXPECT_EQ(reopened.size(), 3u);
+    EXPECT_EQ(reopened.stats().snapshotRecords, 3u);
+    EXPECT_DOUBLE_EQ(reopened.freezeEpoch()->find(cx_key)->latency, 90.0);
+}
+
 TEST(PulseLibrary, FingerprintsSeparateBackendConfigs)
 {
     GrapeOptions a;
@@ -443,7 +484,6 @@ makeFuzzJournal(const std::string &name, const std::string &fingerprint)
 {
     FuzzFixture fx;
     const std::string dir = scratchDir(name);
-    EXPECT_EQ(::mkdir(dir.c_str(), 0755), 0);
     fx.path = dir + "/j.bin";
     fx.payloads = {"alpha", std::string(64, 'b'), "",
                    "a-fourth-record"};

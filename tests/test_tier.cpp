@@ -36,6 +36,8 @@
 #include "tier/tier_server.h"
 #include "tier/tier_store.h"
 
+#include "scratch_dir.h"
+
 namespace paqoc {
 namespace {
 
@@ -51,14 +53,7 @@ struct FailpointGuard
     ~FailpointGuard() { fp::disarmAll(); }
 };
 
-std::string
-scratchDir(const std::string &name)
-{
-    const std::string dir = "/tmp/paqoc_test_tier_" + name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-}
+using test_support::scratchDir;
 
 std::string
 readFile(const std::string &path)
