@@ -4,17 +4,12 @@
 
 namespace paqoc {
 
-namespace {
-
-thread_local bool tls_on_worker = false;
-
-} // namespace
-
 ThreadPool::ThreadPool(unsigned threads)
 {
     if (threads == 0)
         threads = defaultThreads();
     threads = std::max(1u, threads);
+    idle_.store(threads, std::memory_order_relaxed);
     workers_.reserve(threads);
     for (unsigned i = 0; i < threads; ++i)
         workers_.emplace_back([this]() { workerLoop(); });
@@ -42,9 +37,27 @@ ThreadPool::post(std::function<void()> task)
 }
 
 void
+ThreadPool::postHelpers(std::size_t wanted,
+                        const std::function<void()> &helper)
+{
+    std::size_t posted = 0;
+    {
+        MutexLock lock(mutex_);
+        // Each queued task will occupy one idle worker when it wakes.
+        const std::size_t idle = idle_.load(std::memory_order_relaxed);
+        const std::size_t free =
+            idle > queue_.size() ? idle - queue_.size() : 0;
+        posted = std::min(wanted, free);
+        for (std::size_t h = 0; h < posted; ++h)
+            queue_.push_back(helper);
+    }
+    for (std::size_t h = 0; h < posted; ++h)
+        cv_.notify_one();
+}
+
+void
 ThreadPool::workerLoop()
 {
-    tls_on_worker = true;
     for (;;) {
         std::function<void()> task;
         {
@@ -55,15 +68,11 @@ ThreadPool::workerLoop()
                 return; // stop_ set and nothing left to run
             task = std::move(queue_.front());
             queue_.pop_front();
+            idle_.fetch_sub(1, std::memory_order_relaxed);
         }
         task();
+        idle_.fetch_add(1, std::memory_order_relaxed);
     }
-}
-
-bool
-ThreadPool::onWorkerThread()
-{
-    return tls_on_worker;
 }
 
 unsigned

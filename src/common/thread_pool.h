@@ -19,11 +19,13 @@ namespace paqoc {
 
 /**
  * Fixed-size worker pool behind all parallelism in the compiler: batch
- * pulse generation, concurrent GRAPE duration probes, and the blocked
- * gemm. Tasks are plain queued closures; parallelFor additionally lets
- * the calling thread execute chunks itself, so a pool of size 1 (or a
- * call made from inside a worker) degrades to an ordinary serial loop
- * instead of deadlocking.
+ * pulse generation, concurrent GRAPE duration probes and restarts, and
+ * the blocked gemm. Tasks are plain queued closures; parallelFor
+ * additionally lets the calling thread execute chunks itself, and
+ * enlists only workers that are idle right now. Nested calls from
+ * inside a worker therefore fan out onto idle workers when there are
+ * any and run inline serially on a saturated pool (or a pool of size
+ * 1), where extra helpers could only queue behind busy workers.
  *
  * Determinism contract: the pool schedules *when* work runs, never
  * *what* work runs. Every parallel site in the compiler derives its
@@ -58,11 +60,18 @@ class ThreadPool
 
     /**
      * Run body(i) for every i in [0, n), `grain` consecutive indices
-     * per task. The caller participates (it drains chunks alongside
-     * the workers), and a call made from inside a pool worker runs
-     * inline serially -- nested parallelism never deadlocks, it just
-     * flattens. The first exception thrown by any chunk is rethrown on
-     * the caller once all chunks finished.
+     * per chunk. The caller drains chunks itself, helped by at most
+     * min(idle workers, chunks - 1) helper tasks; with no idle worker
+     * the loop runs inline on the caller. The first exception thrown
+     * by a chunk is rethrown on the caller: once every chunk finished
+     * when helpers were enlisted, at once from the inline loop.
+     *
+     * Calls may nest from any thread, pool workers included, without
+     * deadlocking: a chunk is only ever run by a thread that claimed
+     * it through the shared counter while running, so the caller,
+     * which keeps claiming until none are left, waits only for chunks
+     * that other running threads are already executing. A helper that
+     * starts after the last chunk was claimed returns at once.
      */
     template <typename F>
     void
@@ -73,7 +82,8 @@ class ThreadPool
         if (grain == 0)
             grain = 1;
         const std::size_t chunks = (n + grain - 1) / grain;
-        if (size() <= 1 || chunks <= 1 || onWorkerThread()) {
+        if (size() <= 1 || chunks <= 1
+            || idle_.load(std::memory_order_relaxed) == 0) {
             for (std::size_t i = 0; i < n; ++i)
                 body(i);
             return;
@@ -118,10 +128,7 @@ class ThreadPool
             }
         };
 
-        const std::size_t helpers =
-            std::min<std::size_t>(size(), chunks) - 1;
-        for (std::size_t h = 0; h < helpers; ++h)
-            post([st, drain]() { drain(st); });
+        postHelpers(chunks - 1, [st, drain]() { drain(st); });
         drain(st);
 
         MutexLock lock(st->mutex);
@@ -130,9 +137,6 @@ class ThreadPool
         if (st->error)
             std::rethrow_exception(st->error);
     }
-
-    /** True when the current thread is a worker of any ThreadPool. */
-    static bool onWorkerThread();
 
     /**
      * The process-wide pool (default size: hardware_concurrency).
@@ -147,6 +151,12 @@ class ThreadPool
 
   private:
     void post(std::function<void()> task);
+    /**
+     * Queue up to `wanted` copies of `helper`, one per worker that is
+     * idle and not already spoken for by a queued task.
+     */
+    void postHelpers(std::size_t wanted,
+                     const std::function<void()> &helper);
     void workerLoop();
 
     std::vector<std::thread> workers_;
@@ -154,6 +164,13 @@ class ThreadPool
     CondVar cv_;
     std::deque<std::function<void()>> queue_ PAQOC_GUARDED_BY(mutex_);
     bool stop_ PAQOC_GUARDED_BY(mutex_) = false;
+    /**
+     * Workers not running a task: decremented under mutex_ when a
+     * worker takes a task, incremented when it returns. parallelFor
+     * reads it without the lock only to skip to the inline loop;
+     * postHelpers re-reads it under the lock before queueing.
+     */
+    std::atomic<std::size_t> idle_{0};
 };
 
 } // namespace paqoc

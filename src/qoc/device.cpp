@@ -89,4 +89,34 @@ DeviceModel::sliceHamiltonianInto(const std::vector<double> &amplitudes,
     }
 }
 
+PulseSchedule
+reverseQubitOrder(const PulseSchedule &schedule, int num_qubits)
+{
+    // DeviceModel's default layout: x_q at 2q, y_q at 2q+1, then the
+    // path edge (e, e+1) at 2n+e.
+    const auto n = static_cast<std::size_t>(num_qubits);
+    const std::size_t controls = n == 1 ? 2 : 3 * n - 1;
+    std::vector<std::size_t> to(controls);
+    for (std::size_t q = 0; q < n; ++q) {
+        to[2 * q] = 2 * (n - 1 - q);
+        to[2 * q + 1] = 2 * (n - 1 - q) + 1;
+    }
+    for (std::size_t e = 0; e + 1 < n; ++e)
+        to[2 * n + e] = 2 * n + (n - 2 - e);
+
+    PulseSchedule out;
+    out.fidelity = schedule.fidelity;
+    out.amplitudes.reserve(schedule.amplitudes.size());
+    for (const std::vector<double> &slice : schedule.amplitudes) {
+        PAQOC_ASSERT(slice.size() == controls,
+                     "schedule does not match the ", num_qubits,
+                     "-qubit path device");
+        std::vector<double> mirrored(controls);
+        for (std::size_t k = 0; k < controls; ++k)
+            mirrored[to[k]] = slice[k];
+        out.amplitudes.push_back(std::move(mirrored));
+    }
+    return out;
+}
+
 } // namespace paqoc

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "linalg/matrix.h"
+#include "qoc/pulse.h"
 
 namespace paqoc {
 
@@ -65,6 +66,15 @@ class DeviceModel
     std::vector<double> bounds_;
     std::vector<std::string> names_;
 };
+
+/**
+ * The schedule that realizes P U P on the default path device when
+ * `schedule` realizes U there, P being the qubit-order reversal q ->
+ * n-1-q: the drives x_q, y_q move to qubit n-1-q and the exchange
+ * control of edge (q, q+1) to edge (n-2-q, n-1-q). Fidelity is kept.
+ */
+PulseSchedule reverseQubitOrder(const PulseSchedule &schedule,
+                                int num_qubits);
 
 } // namespace paqoc
 

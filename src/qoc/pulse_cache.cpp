@@ -107,6 +107,20 @@ appendOriented(std::string &s, const Matrix &u,
     }
 }
 
+/** rev[x] = x with its n low bits reversed: the qubit-order reversal. */
+std::vector<std::size_t>
+reversedIndices(int num_qubits)
+{
+    std::vector<std::size_t> rev(std::size_t{1} << num_qubits);
+    for (std::size_t x = 0; x < rev.size(); ++x) {
+        std::size_t y = 0;
+        for (int b = 0; b < num_qubits; ++b)
+            y |= ((x >> b) & 1u) << (num_qubits - 1 - b);
+        rev[x] = y;
+    }
+    return rev;
+}
+
 } // namespace
 
 PulseEpoch::PulseEpoch(Entries entries) : byKey_(std::move(entries))
@@ -142,18 +156,32 @@ PulseCache::canonicalKey(const Matrix &unitary, int num_qubits)
     if (num_qubits > 1) {
         // A <=3-qubit region couples as a path, so relabeling its
         // qubits in reverse order is the same control problem.
-        for (std::size_t x = 0; x < dim; ++x) {
-            std::size_t y = 0;
-            for (int b = 0; b < num_qubits; ++b)
-                y |= ((x >> b) & 1u) << (num_qubits - 1 - b);
-            order[x] = y;
-        }
+        order = reversedIndices(num_qubits);
         std::string alt = prefix;
         appendOriented(alt, unitary, mags, order);
         if (alt < key)
             key = std::move(alt);
     }
     return key;
+}
+
+bool
+PulseCache::reversedOrientation(const Matrix &stored, const Matrix &request,
+                                int num_qubits)
+{
+    const std::size_t dim = std::size_t{1} << num_qubits;
+    if (num_qubits < 2 || stored.rows() != dim || request.rows() != dim)
+        return false;
+    const std::vector<std::size_t> rev = reversedIndices(num_qubits);
+    Complex direct(0.0), mirrored(0.0);
+    for (std::size_t r = 0; r < dim; ++r) {
+        for (std::size_t c = 0; c < dim; ++c) {
+            const Complex s = std::conj(stored(r, c));
+            direct += s * request(r, c);
+            mirrored += s * request(rev[r], rev[c]);
+        }
+    }
+    return std::abs(mirrored) > std::abs(direct) + 1e-9;
 }
 
 PulseCache::Acquired

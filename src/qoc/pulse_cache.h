@@ -23,7 +23,13 @@ struct CachedPulse
     double latency = 0.0;
     double error = 0.0;
     PulseSchedule schedule; // empty for model-generated entries
-    Matrix unitary;         // canonical-form target, for similarity
+    /**
+     * The target `schedule` realizes: the leader's own orientation,
+     * not the canonical form. A request that shares the key through
+     * the qubit-order reversal gets the schedule mirrored (see
+     * PulseCache::reversedOrientation). Also the similarity operand.
+     */
+    Matrix unitary;
     int numQubits = 0;
     /**
      * Stitched best-effort fallback (GRAPE missed the target fidelity
@@ -285,6 +291,18 @@ class PulseCache
 
     /** Canonical string key (exposed for tests). */
     static std::string canonicalKey(const Matrix &unitary, int num_qubits);
+
+    /**
+     * True when `request` matches `stored` -- two unitaries that share
+     * a canonical key -- through the qubit-order reversal P rather
+     * than directly: |Tr(stored^dag P request P)| exceeds
+     * |Tr(stored^dag request)|. A schedule derived for `stored` must
+     * then be mirrored (reverseQubitOrder) before it serves `request`.
+     * False for one qubit and for reversal-symmetric unitaries.
+     */
+    static bool reversedOrientation(const Matrix &stored,
+                                    const Matrix &request,
+                                    int num_qubits);
 
   private:
     /**

@@ -5,8 +5,27 @@
 #include <unordered_map>
 
 #include "common/error.h"
+#include "qoc/device.h"
 
 namespace paqoc {
+
+namespace {
+
+/**
+ * `schedule`, derived for `stored`, as it serves `request` (a unitary
+ * of the same canonical key): mirrored when the two match only
+ * through the qubit-order reversal.
+ */
+PulseSchedule
+orientedSchedule(const PulseSchedule &schedule, const Matrix &stored,
+                 const Matrix &request, int num_qubits)
+{
+    if (PulseCache::reversedOrientation(stored, request, num_qubits))
+        return reverseQubitOrder(schedule, num_qubits);
+    return schedule;
+}
+
+} // namespace
 
 PulseGenResult
 PulseGenerator::generate(const Matrix &unitary, int num_qubits)
@@ -81,6 +100,10 @@ PulseGenerator::generateBatch(const std::vector<PulseRequest> &requests,
     for (std::size_t i = 0; i < requests.size(); ++i) {
         if (primary[i] != i) {
             PulseGenResult dup = out[primary[i]];
+            if (dup.schedule.has_value())
+                dup.schedule = orientedSchedule(
+                    *dup.schedule, requests[primary[i]].unitary,
+                    requests[i].unitary, requests[i].numQubits);
             dup.cacheHit = true;
             dup.costUnits = 0.0;
             out[i] = std::move(dup);
@@ -180,7 +203,9 @@ GrapePulseGenerator::generateOne(const Matrix &unitary, int num_qubits,
     if (acq.role != PulseCache::FlightRole::Leader) {
         result.latency = acq.entry->latency;
         result.error = acq.entry->error;
-        result.schedule = acq.entry->schedule;
+        result.schedule = orientedSchedule(acq.entry->schedule,
+                                           acq.entry->unitary, unitary,
+                                           num_qubits);
         result.cacheHit = true;
         result.degraded = acq.entry->degraded;
         return result;
@@ -197,6 +222,11 @@ GrapePulseGenerator::generateOne(const Matrix &unitary, int num_qubits,
             if (std::optional<CachedPulse> fetched = tier->fetch(
                     PulseCache::canonicalKey(unitary, num_qubits),
                     cancel())) {
+                // Published under this request's unitary, so the
+                // schedule must match its orientation.
+                fetched->schedule =
+                    orientedSchedule(fetched->schedule, fetched->unitary,
+                                     unitary, num_qubits);
                 result.latency = fetched->latency;
                 result.error = fetched->error;
                 result.schedule = fetched->schedule;

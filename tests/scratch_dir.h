@@ -9,9 +9,11 @@
  * `ctest -j`. A fixed path under the temp directory is then shared by
  * concurrent processes, and one test's cleanup deletes another's
  * files. Instead, each process creates one mkdtemp root on first use
- * and removes it when that process exits.
+ * and removes it when that process exits. Unix sockets of servers
+ * under test live there too (scratchSocket).
  */
 
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -68,6 +70,23 @@ scratchDir(const std::string &name)
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     return dir.string();
+}
+
+/**
+ * Path of a unix socket `name`.sock under the process's scratch root.
+ * Aborts if the path would not fit in sockaddr_un::sun_path (108
+ * bytes on Linux).
+ */
+inline std::string
+scratchSocket(const std::string &name)
+{
+    const std::string path =
+        (ScratchRoot::path() / (name + ".sock")).string();
+    if (path.size() >= sizeof(sockaddr_un{}.sun_path)) {
+        std::fprintf(stderr, "socket path too long: %s\n", path.c_str());
+        std::abort();
+    }
+    return path;
 }
 
 } // namespace paqoc::test_support

@@ -35,10 +35,13 @@
 #include "service/server.h"
 #include "service/service.h"
 
+#include "scratch_dir.h"
+
 namespace paqoc {
 namespace {
 
 namespace fp = failpoint;
+using test_support::scratchSocket;
 
 /**
  * Every test arms points through one of these so a failing assertion
@@ -320,8 +323,7 @@ struct ServerFixture
     explicit ServerFixture(const std::string &name,
                            double overload_target_ms = 0.0)
         : server(service,
-                 serverOptionsFor("/tmp/paqoc_test_cancel_" + name
-                                      + ".sock",
+                 serverOptionsFor(scratchSocket("cancel_" + name),
                                   overload_target_ms))
     {
         ::unlink(server.socketPath().c_str());

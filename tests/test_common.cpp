@@ -5,8 +5,11 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
+#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 
 namespace paqoc {
@@ -181,14 +185,155 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
 {
     ThreadPool pool(2);
     std::atomic<int> total{0};
-    // Inner parallelFor calls issued from worker threads must degrade
-    // to inline execution instead of queueing behind their own task.
+    // Inner parallelFor calls issued from worker threads may enlist
+    // whichever worker is idle; their callers drain their own chunks,
+    // so no call ever waits on a helper that has not started.
     pool.parallelFor(8, [&](std::size_t) {
         pool.parallelFor(8, [&](std::size_t) {
             total.fetch_add(1, std::memory_order_relaxed);
         });
     });
     EXPECT_EQ(total.load(), 64);
+}
+
+/**
+ * Records which threads ran a chunk and lets a chunk wait -- up to a
+ * generous deadline, never a fixed sleep -- until enough distinct
+ * threads or arrivals have been seen.
+ */
+class ThreadCensus
+{
+  public:
+    void
+    checkIn()
+    {
+        MutexLock lock(mutex_);
+        ids_.insert(std::this_thread::get_id());
+        ++arrivals_;
+        cv_.notify_all();
+    }
+
+    /** Wait until `n` distinct threads checked in; false on timeout. */
+    bool
+    awaitDistinct(std::size_t n)
+    {
+        const auto deadline = std::chrono::steady_clock::now() + kTimeout;
+        MutexLock lock(mutex_);
+        while (ids_.size() < n) {
+            const auto now = std::chrono::steady_clock::now();
+            if (now >= deadline)
+                return false;
+            cv_.wait_for(mutex_, deadline - now);
+        }
+        return true;
+    }
+
+    /** Wait until `n` check-ins in total; false on timeout. */
+    bool
+    awaitArrivals(std::size_t n)
+    {
+        const auto deadline = std::chrono::steady_clock::now() + kTimeout;
+        MutexLock lock(mutex_);
+        while (arrivals_ < n) {
+            const auto now = std::chrono::steady_clock::now();
+            if (now >= deadline)
+                return false;
+            cv_.wait_for(mutex_, deadline - now);
+        }
+        return true;
+    }
+
+    std::set<std::thread::id>
+    ids()
+    {
+        MutexLock lock(mutex_);
+        return ids_;
+    }
+
+  private:
+    static constexpr std::chrono::seconds kTimeout{30};
+    Mutex mutex_;
+    CondVar cv_;
+    std::set<std::thread::id> ids_ PAQOC_GUARDED_BY(mutex_);
+    std::size_t arrivals_ PAQOC_GUARDED_BY(mutex_) = 0;
+};
+
+TEST(ThreadPool, NestedParallelForEnlistsIdleWorkers)
+{
+    // A lone job on an idle pool: its inner loop must fan out. Every
+    // chunk holds until a second thread has run one, so a caller left
+    // alone would sit out the census timeout and fail.
+    ThreadPool pool(4);
+    ThreadCensus census;
+    std::atomic<bool> fanned_out{true};
+    pool.submit([&]() {
+            pool.parallelFor(4, [&](std::size_t) {
+                census.checkIn();
+                if (fanned_out.load() && !census.awaitDistinct(2))
+                    fanned_out.store(false);
+            });
+        })
+        .get();
+    EXPECT_TRUE(fanned_out.load());
+    EXPECT_GE(census.ids().size(), 2u);
+}
+
+TEST(ThreadPool, NestedParallelForOnABusyPoolRunsInline)
+{
+    // All four workers are busy while one of them issues a nested
+    // loop: no helper may be queued, the caller runs every chunk.
+    ThreadPool pool(4);
+    ThreadCensus started;
+    ThreadCensus released;
+    ThreadCensus chunks;
+    std::thread::id caller;
+    std::vector<std::future<bool>> jobs;
+    jobs.push_back(pool.submit([&]() {
+        started.checkIn();
+        const bool all_busy = started.awaitArrivals(4);
+        caller = std::this_thread::get_id();
+        pool.parallelFor(16, [&](std::size_t) { chunks.checkIn(); });
+        released.checkIn();
+        return all_busy;
+    }));
+    for (int j = 0; j < 3; ++j)
+        jobs.push_back(pool.submit([&]() {
+            started.checkIn();
+            return started.awaitArrivals(4) && released.awaitArrivals(1);
+        }));
+    for (std::future<bool> &job : jobs)
+        EXPECT_TRUE(job.get());
+    EXPECT_EQ(chunks.ids(), std::set<std::thread::id>{caller});
+}
+
+TEST(ThreadPool, DeepNestingWithAThrowingChunkNeverDeadlocks)
+{
+    // Three levels of nested loops on two workers, entered from the
+    // test thread and from inside a pool job in turn. One leaf throws:
+    // the error reaches the top, and no leaf ever runs twice (an
+    // inline loop stops at the throwing index, so some may not run).
+    ThreadPool pool(2);
+    for (int rep = 0; rep < 200; ++rep) {
+        std::vector<std::atomic<int>> runs(64);
+        auto nest = [&]() {
+            pool.parallelFor(4, [&](std::size_t i) {
+                pool.parallelFor(4, [&](std::size_t j) {
+                    pool.parallelFor(4, [&](std::size_t k) {
+                        runs[i * 16 + j * 4 + k].fetch_add(1);
+                        PAQOC_FATAL_IF(i == 2 && j == 1 && k == 3,
+                                       "leaf ", i, j, k);
+                    });
+                });
+            });
+        };
+        if (rep % 2 == 0)
+            EXPECT_THROW(nest(), FatalError) << rep;
+        else
+            EXPECT_THROW(pool.submit(nest).get(), FatalError) << rep;
+        EXPECT_EQ(runs[2 * 16 + 1 * 4 + 3].load(), 1) << rep;
+        for (const std::atomic<int> &r : runs)
+            EXPECT_LE(r.load(), 1) << rep;
+    }
 }
 
 TEST(ThreadPool, ParallelForPropagatesBodyException)

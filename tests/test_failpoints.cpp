@@ -59,6 +59,7 @@ struct FailpointGuard
 };
 
 using test_support::scratchDir;
+using test_support::scratchSocket;
 
 /** A healthy (non-degraded) library entry for a 1-qubit gate. */
 CachedPulse
@@ -492,8 +493,7 @@ struct ServerFixture
                            std::size_t max_queue = 64)
         : service(std::move(sopts)), server(service, [&] {
               ServerOptions opts;
-              opts.socketPath =
-                  "/tmp/paqoc_test_failpoints_" + name + ".sock";
+              opts.socketPath = scratchSocket("failpoints_" + name);
               opts.maxQueue = max_queue;
               return opts;
           }())
@@ -524,7 +524,7 @@ struct OverloadedServer
     std::atomic<int> frames{0};
 
     explicit OverloadedServer(const std::string &name)
-        : path("/tmp/paqoc_test_failpoints_" + name + ".sock")
+        : path(scratchSocket("failpoints_" + name))
     {
         ::unlink(path.c_str());
         listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -588,7 +588,7 @@ struct HungListener
     int listen_fd = -1;
 
     explicit HungListener(const std::string &name)
-        : path("/tmp/paqoc_test_failpoints_" + name + ".sock")
+        : path(scratchSocket("failpoints_" + name))
     {
         ::unlink(path.c_str());
         listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -630,8 +630,7 @@ TEST(FailpointClient, BackoffScheduleIsDeterministicAndCapped)
 TEST(FailpointClient, ConnectFailureIsATypedErrorNotAnAbort)
 {
     FailpointGuard guard;
-    const std::string path =
-        "/tmp/paqoc_test_failpoints_nodaemon.sock";
+    const std::string path = scratchSocket("failpoints_nodaemon");
     ::unlink(path.c_str());
     ClientOptions opts;
     opts.retries = 2;

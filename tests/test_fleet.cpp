@@ -44,8 +44,12 @@
 #include "service/server.h"
 #include "service/service.h"
 
+#include "scratch_dir.h"
+
 namespace paqoc {
 namespace {
+
+using test_support::scratchSocket;
 
 // ---------------------------------------------------------------- //
 // Endpoint parsing                                                 //
@@ -530,7 +534,7 @@ ServerOptions
 scratchServerOptions(const std::string &name)
 {
     ServerOptions opts;
-    opts.socketPath = "/tmp/paqoc_test_fleet_" + name + ".sock";
+    opts.socketPath = scratchSocket("fleet_" + name);
     return opts;
 }
 
@@ -702,7 +706,7 @@ fleet::RouterOptions
 scratchRouterOptions(const std::string &name, int workers)
 {
     fleet::RouterOptions opts;
-    opts.socketPath = "/tmp/paqoc_test_fleet_router_" + name + ".sock";
+    opts.socketPath = scratchSocket("fleet_router_" + name);
     opts.workers = workers;
     opts.backoffMs = 10.0;
     opts.backoffCapMs = 50.0;

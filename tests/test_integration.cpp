@@ -6,10 +6,13 @@
  * invariants, and cross-compiler comparisons.
  */
 
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "circuit/contract.h"
 #include "circuit/schedule.h"
+#include "common/thread_pool.h"
 #include "linalg/kernels.h"
 #include "linalg/unitary_util.h"
 #include "paqoc/compiler.h"
@@ -289,6 +292,42 @@ TEST(Integration, GrapeCompileReportIndependentOfThreadCount)
     const CompileReport serial = compilePaqoc(tiny, g1, serial_opts);
     const CompileReport pooled = compilePaqoc(tiny, g8, pooled_opts);
     expectBitIdentical(serial, pooled);
+}
+
+TEST(Integration, GrapeCompileInsideAPoolJobMatchesSerial)
+{
+    // A daemon runs each compile as a job on the global pool, so the
+    // compile's own batch, probe and gemm loops nest inside a worker
+    // and enlist the idle ones. The report and every derived pulse
+    // must still match a serial compile bit for bit.
+    Circuit tiny(2);
+    tiny.h(0);
+    tiny.cx(0, 1);
+    tiny.h(1);
+    GrapeOptions gopts;
+    gopts.maxIterations = 300;
+    PaqocOptions serial_opts;
+    serial_opts.threads = 1;
+    serial_opts.enableMerger = false;
+    PaqocOptions pooled_opts = serial_opts;
+    pooled_opts.threads = 0;
+    GrapePulseGenerator g1(gopts), gp(gopts);
+    const CompileReport serial = compilePaqoc(tiny, g1, serial_opts);
+    const CompileReport pooled =
+        ThreadPool::global()
+            .submit([&]() { return compilePaqoc(tiny, gp, pooled_opts); })
+            .get();
+    expectBitIdentical(serial, pooled);
+    ASSERT_EQ(serial.circuit.size(), pooled.circuit.size());
+    for (const Gate &g : serial.circuit.gates()) {
+        const std::optional<CachedPulse> a =
+            g1.cache().find(g.unitary(), g.arity());
+        const std::optional<CachedPulse> b =
+            gp.cache().find(g.unitary(), g.arity());
+        ASSERT_TRUE(a.has_value() && b.has_value());
+        EXPECT_EQ(a->schedule.amplitudes, b->schedule.amplitudes);
+        EXPECT_EQ(a->schedule.fidelity, b->schedule.fidelity);
+    }
 }
 
 TEST(Integration, GrapeCompileReportIndependentOfKernelBackend)

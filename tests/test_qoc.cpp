@@ -1067,5 +1067,165 @@ TEST(Grape, PoolDoesNotChangeTheResult)
                       serial.schedule.amplitudes[t][k]);
 }
 
+/** P U P for the qubit-order reversal P on n qubits. */
+Matrix
+reversedQubits(const Matrix &u, int n)
+{
+    auto rev = [n](std::size_t x) {
+        std::size_t y = 0;
+        for (int b = 0; b < n; ++b)
+            y |= ((x >> b) & 1u) << (n - 1 - b);
+        return y;
+    };
+    Matrix v(u.rows(), u.cols());
+    for (std::size_t r = 0; r < u.rows(); ++r)
+        for (std::size_t c = 0; c < u.cols(); ++c)
+            v(r, c) = u(rev(r), rev(c));
+    return v;
+}
+
+TEST(Device, ReverseQubitOrderRealizesTheMirroredUnitary)
+{
+    // Drives and exchange edges move with the qubits, so the mirrored
+    // schedule plays P U P wherever the original plays U.
+    Rng rng(31);
+    for (int n = 1; n <= 3; ++n) {
+        const DeviceModel device(n);
+        PulseSchedule s;
+        s.amplitudes.assign(7, std::vector<double>(device.numControls()));
+        for (auto &slice : s.amplitudes)
+            for (std::size_t k = 0; k < slice.size(); ++k)
+                slice[k] = device.bound(k) * rng.uniform(-1, 1);
+        const Matrix u = schedulePropagator(device, s);
+        const Matrix mirrored =
+            schedulePropagator(device, reverseQubitOrder(s, n));
+        EXPECT_GE(traceFidelity(reversedQubits(u, n), mirrored),
+                  1.0 - 1e-12)
+            << n;
+        // Mirroring twice is the identity.
+        EXPECT_EQ(reverseQubitOrder(reverseQubitOrder(s, n), n).amplitudes,
+                  s.amplitudes);
+    }
+}
+
+TEST(PulseCache, ReversedOrientationDetectsOnlyTheMirror)
+{
+    Circuit c(2);
+    c.h(0);
+    c.cx(0, 1);
+    const Matrix u = circuitUnitary(c);
+    const Matrix phased = u * Complex(std::cos(0.4), std::sin(0.4));
+    EXPECT_FALSE(PulseCache::reversedOrientation(u, phased, 2));
+    EXPECT_TRUE(PulseCache::reversedOrientation(u, reversedQubits(u, 2), 2));
+    // Symmetric gates and single qubits never need a mirror.
+    const Matrix swap = Gate(Op::SWAP, {0, 1}).unitary();
+    EXPECT_FALSE(PulseCache::reversedOrientation(swap, swap, 2));
+    const Matrix h = Gate(Op::H, {0}).unitary();
+    EXPECT_FALSE(PulseCache::reversedOrientation(h, h, 1));
+}
+
+/**
+ * An asymmetric two-qubit target U = H (x) S and its mirror P U P:
+ * one canonical key, yet U's schedule played unmirrored realizes
+ * P U P with fidelity 1/16.
+ */
+struct MirroredPair
+{
+    Matrix u;
+    Matrix mirrored;
+};
+
+MirroredPair
+asymmetricPair()
+{
+    Circuit c(2);
+    c.h(0);
+    c.s(1);
+    MirroredPair p;
+    p.u = circuitUnitary(c);
+    p.mirrored = reversedQubits(p.u, 2);
+    return p;
+}
+
+/** The emitted schedule realizes `target` at the fidelity it claims. */
+void
+expectClaimedFidelity(const Matrix &target, const PulseGenResult &r)
+{
+    ASSERT_TRUE(r.schedule.has_value());
+    const int n = target.rows() == 4 ? 2 : 1;
+    EXPECT_GE(scheduleFidelity(DeviceModel(n), target, *r.schedule),
+              1.0 - r.error - 1e-4);
+}
+
+TEST(PulseAudit, GrapeCacheHitOfTheMirroredTargetKeepsItsClaim)
+{
+    const MirroredPair p = asymmetricPair();
+    ASSERT_EQ(PulseCache::canonicalKey(p.u, 2),
+              PulseCache::canonicalKey(p.mirrored, 2));
+    ASSERT_LT(traceFidelity(p.u, p.mirrored), 0.1);
+
+    GrapePulseGenerator gen;
+    const PulseGenResult derived = gen.generate(p.u, 2);
+    const PulseGenResult hit = gen.generate(p.mirrored, 2);
+    EXPECT_FALSE(derived.cacheHit);
+    EXPECT_TRUE(hit.cacheHit);
+    expectClaimedFidelity(p.u, derived);
+    expectClaimedFidelity(p.mirrored, hit);
+    // And back: the entry keeps the leader's orientation.
+    expectClaimedFidelity(p.u, gen.generate(p.u, 2));
+}
+
+TEST(PulseAudit, GrapeBatchDedupOfTheMirroredTargetKeepsItsClaim)
+{
+    const MirroredPair p = asymmetricPair();
+    ThreadPool pool(2);
+    GrapePulseGenerator gen;
+    const std::vector<PulseGenResult> out = gen.generateBatch(
+        {{p.mirrored, 2}, {p.u, 2}, {p.mirrored, 2}}, &pool);
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_FALSE(out[0].cacheHit);
+    EXPECT_TRUE(out[1].cacheHit);
+    expectClaimedFidelity(p.mirrored, out[0]);
+    expectClaimedFidelity(p.u, out[1]);
+    expectClaimedFidelity(p.mirrored, out[2]);
+}
+
+/** A tier that serves one fixed entry under its canonical key. */
+class OneEntryTier : public PulseTierSource
+{
+  public:
+    explicit OneEntryTier(CachedPulse entry) : entry_(std::move(entry)) {}
+    std::optional<CachedPulse>
+    fetch(const std::string &key) override
+    {
+        if (key != PulseCache::canonicalKey(entry_.unitary, entry_.numQubits))
+            return std::nullopt;
+        return entry_;
+    }
+
+  private:
+    CachedPulse entry_;
+};
+
+TEST(PulseAudit, GrapeTierFetchOfTheMirroredTargetKeepsItsClaim)
+{
+    const MirroredPair p = asymmetricPair();
+    GrapePulseGenerator origin;
+    (void)origin.generate(p.u, 2);
+    const std::optional<CachedPulse> entry = origin.cache().find(p.u, 2);
+    ASSERT_TRUE(entry.has_value());
+
+    OneEntryTier tier(*entry);
+    GrapePulseGenerator gen;
+    gen.cache().attachTier(&tier);
+    const PulseGenResult fetched = gen.generate(p.mirrored, 2);
+    EXPECT_TRUE(fetched.cacheHit);
+    expectClaimedFidelity(p.mirrored, fetched);
+    // The published entry now holds the mirrored orientation.
+    expectClaimedFidelity(p.mirrored, gen.generate(p.mirrored, 2));
+    expectClaimedFidelity(p.u, gen.generate(p.u, 2));
+    gen.cache().attachTier(nullptr);
+}
+
 } // namespace
 } // namespace paqoc

@@ -22,7 +22,10 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "common/thread_annotations.h"
+#include "qoc/device.h"
+#include "qoc/grape.h"
 #include "qoc/pulse_generator.h"
+#include "qoc/pulse_io.h"
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/scheduler.h"
@@ -35,6 +38,7 @@ namespace paqoc {
 namespace {
 
 using test_support::scratchDir;
+using test_support::scratchSocket;
 
 TEST(Protocol, FramesRoundTripOverSocketpair)
 {
@@ -326,6 +330,73 @@ TEST(PulseService, EpochLayerServesLikeAnInsertWarmedCache)
               static_cast<int>(recovered.size()));
 }
 
+Json
+grapeCompileRequest(const std::string &qasm)
+{
+    Json r = Json::object();
+    r.set("op", Json("compile"));
+    r.set("qasm", Json(qasm));
+    r.set("backend", Json("grape"));
+    r.set("topology", Json("line:2"));
+    r.set("maxn", Json(2));
+    r.set("emit_pulses", Json(true));
+    return r;
+}
+
+TEST(PulseService, EpochServesMirroredGrapePulsesAtTheirClaim)
+{
+    // The served circuit is the qubit-reversed history circuit, so its
+    // two-qubit gate shares the canonical key of the recorded one but
+    // needs the mirrored schedule. Every emitted schedule is replayed
+    // against its gate and must reach the fidelity the payload claims.
+    const std::string dir = scratchDir("mirror_epoch");
+    ServiceOptions opts;
+    opts.libraryDir = dir;
+    opts.grape.maxIterations = 150;
+    const std::string head =
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n";
+    const Json history_request = grapeCompileRequest(
+        head + "h q[0];\ns q[1];\ncx q[0],q[1];\n");
+    const Json request = grapeCompileRequest(
+        head + "h q[1];\ns q[0];\ncx q[1],q[0];\n");
+    {
+        PulseService history(opts);
+        ASSERT_TRUE(history.handle(history_request).at("ok").asBool());
+        history.persist();
+    }
+
+    PulseService service(opts);
+    const Json r = service.handle(request);
+    ASSERT_TRUE(r.at("ok").asBool()) << r.dump();
+    EXPECT_GT(r.at("stats").at("cache_hits").asInt(), 0);
+
+    // The gates the payload's pulses belong to, from the same compile
+    // in-process over the recovered entries.
+    const std::vector<CachedPulse> recovered =
+        PulseLibrary(dir + "/grape",
+                     PulseLibrary::grapeFingerprint(opts.grape))
+            .entriesSnapshot();
+    const CompileJob job = compileJobFromJson(request);
+    GrapePulseGenerator reference(opts.grape);
+    for (const CachedPulse &e : recovered)
+        reference.cache().insert(e.unitary, e.numQubits, e);
+    const CompileReport report = runCompileJob(job, reference);
+    ASSERT_EQ(r.at("payload").dump(),
+              compilePayload(job, report, reference).dump());
+
+    const Json &pulses = r.at("payload").at("pulses");
+    ASSERT_EQ(pulses.size(), report.circuit.gates().size());
+    for (std::size_t i = 0; i < pulses.size(); ++i) {
+        const Gate &g = report.circuit.gates()[i];
+        const DeviceModel device(g.arity());
+        const PulseSchedule schedule =
+            pulseFromJson(pulses.at(i).at("schedule").dump(), device);
+        EXPECT_GE(scheduleFidelity(device, g.unitary(), schedule),
+                  1.0 - pulses.at(i).at("error").asNumber() - 1e-4)
+            << i;
+    }
+}
+
 TEST(PulseService, WarmStartSkipsGrapeEntirely)
 {
     const std::string dir = scratchDir("warm_grape");
@@ -537,8 +608,7 @@ struct ServerFixture
                            std::size_t max_queue = 64)
         : service(std::move(sopts)),
           server(service,
-                 unixServerOptions("/tmp/paqoc_test_service_" + name
-                                       + ".sock",
+                 unixServerOptions(scratchSocket("service_" + name),
                                    max_queue))
     {
         ::unlink(server.socketPath().c_str());
@@ -614,7 +684,7 @@ TEST(SocketServer, ShutdownRequestStopsTheServer)
     PulseService service;
     SocketServer server(
         service,
-        unixServerOptions("/tmp/paqoc_test_service_shutdown.sock", 8));
+        unixServerOptions(scratchSocket("service_shutdown"), 8));
     ::unlink(server.socketPath().c_str());
     server.start();
     std::thread runner([&]() { server.run(); });

@@ -11,7 +11,6 @@
 
 #include <csignal>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -23,17 +22,16 @@
 #include "common/failpoint.h"
 #include "service/supervisor.h"
 
+#include "scratch_dir.h"
+
 namespace paqoc {
 namespace {
 
 std::string
 scratchLog(const std::string &name)
 {
-    const std::string dir = "/tmp/paqoc_test_supervisor";
-    std::filesystem::create_directories(dir);
-    const std::string path = dir + "/" + name + ".log";
-    std::filesystem::remove(path);
-    return path;
+    return test_support::scratchDir("supervisor_" + name)
+        + "/incarnations.log";
 }
 
 /** Append one line to the incarnation log (child-side, crash-safe). */
