@@ -1,6 +1,7 @@
 #include "circuit/dag.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/error.h"
 
@@ -22,16 +23,27 @@ Dag::reaches(int u, int v) const
     // in (u, v] can lie on a path.
     if (v < u)
         return false;
-    std::vector<char> seen(size(), 0);
-    std::vector<int> stack{u};
+    // One visit buffer per thread, stamped per query: the merge
+    // engine asks this hundreds of thousands of times per compile, and
+    // a per-call buffer would cost an allocation and an O(n) clear.
+    thread_local std::vector<std::uint32_t> seen;
+    thread_local std::uint32_t stamp = 0;
+    thread_local std::vector<int> stack;
+    if (seen.size() < size())
+        seen.resize(size(), 0);
+    if (++stamp == 0) {
+        std::fill(seen.begin(), seen.end(), 0);
+        stamp = 1;
+    }
+    stack.assign(1, u);
     while (!stack.empty()) {
         const int n = stack.back();
         stack.pop_back();
         for (int s : succs[static_cast<std::size_t>(n)]) {
             if (s == v)
                 return true;
-            if (s < v && !seen[static_cast<std::size_t>(s)]) {
-                seen[static_cast<std::size_t>(s)] = 1;
+            if (s < v && seen[static_cast<std::size_t>(s)] != stamp) {
+                seen[static_cast<std::size_t>(s)] = stamp;
                 stack.push_back(s);
             }
         }

@@ -223,7 +223,6 @@ pauliSplitNorms(const Matrix &u, int num_qubits)
     // (adjacent pair vs routed/multi-body content).
     const PauliBasis &basis = pauliBasis(num_qubits);
     Matrix local(dim, dim);
-    Matrix entangling(dim, dim);
     Matrix hard(dim, dim);
     std::vector<Matrix> per_pair(
         num_qubits > 1 ? static_cast<std::size_t>(num_qubits - 1) : 0,
@@ -247,7 +246,6 @@ pauliSplitNorms(const Matrix &u, int num_qubits)
             local += term;
             continue;
         }
-        entangling += term;
         // Adjacent pair {q, q+1} <=> support mask 0b11 << q.
         bool adjacent = false;
         if (basis.weights[k] == 2) {
@@ -272,7 +270,6 @@ pauliSplitNorms(const Matrix &u, int num_qubits)
     };
     PauliSplitNorms norms;
     norms.localNorm = spec_norm(local);
-    norms.entanglingNorm = spec_norm(entangling);
     for (const Matrix &pair : per_pair)
         norms.adjacentPairNorm =
             std::max(norms.adjacentPairNorm, spec_norm(pair));

@@ -33,17 +33,15 @@ double spectralPhaseNorm(const Matrix &u);
  * Writes U = exp(-iA) with the eigenphases of U centered to minimize
  * their maximal magnitude (global phase removed), then projects the
  * Hermitian generator A onto the Pauli-string basis: strings of weight
- * <= 1 form the local part, weight >= 2 the entangling part. The
- * spectral norms of the two parts are quantum-speed-limit proxies for
- * the single-qubit-drive time and the (much slower) exchange-coupling
- * time a pulse needs, respectively.
+ * <= 1 form the local part, weight >= 2 the entangling part, which is
+ * further split by coupling channel. The spectral norms of the parts
+ * are quantum-speed-limit proxies for the single-qubit-drive time and
+ * the (much slower) exchange-coupling time a pulse needs.
  */
 struct PauliSplitNorms
 {
     /** Spectral norm of the weight-<=1 (local) generator part. */
     double localNorm = 0.0;
-    /** Spectral norm of the weight->=2 (entangling) generator part. */
-    double entanglingNorm = 0.0;
     /**
      * Largest per-channel norm of entangling content supported on one
      * *adjacent* qubit pair (qubits couple along a path 0-1-...-n-1,

@@ -7,6 +7,7 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "circuit/contract.h"
@@ -342,12 +343,11 @@ class ContractedScheduler
     double
     makespan(const GroupContraction &gc)
     {
-        const std::vector<std::vector<int>> members = gc.membersById();
         const std::vector<int> order = gc.topologicalOrder();
-        std::vector<double> finish(members.size(), 0.0);
+        finish_.assign(gc.idBound(), 0.0);
         double best = 0.0;
         for (int gid : order) {
-            const auto &m = members[static_cast<std::size_t>(gid)];
+            const std::span<const int> m = gc.members(gid);
             double start = 0.0;
             for (int gate : m) {
                 for (int p : dag_.preds[static_cast<std::size_t>(
@@ -356,20 +356,20 @@ class ContractedScheduler
                     if (pg != gid)
                         start = std::max(
                             start,
-                            finish[static_cast<std::size_t>(pg)]);
+                            finish_[static_cast<std::size_t>(pg)]);
                 }
             }
-            finish[static_cast<std::size_t>(gid)] =
+            finish_[static_cast<std::size_t>(gid)] =
                 start + groupLatency(m);
             best = std::max(best,
-                            finish[static_cast<std::size_t>(gid)]);
+                            finish_[static_cast<std::size_t>(gid)]);
         }
         return best;
     }
 
   private:
     double
-    groupLatency(const std::vector<int> &members)
+    groupLatency(std::span<const int> members)
     {
         if (members.size() == 1) {
             return latency_(circuit_.gate(
@@ -390,14 +390,28 @@ class ContractedScheduler
             "trial", sub.qubits, sub.matrix,
             static_cast<int>(members.size()), cap);
         const double lat = std::min(latency_(merged), cap);
-        memo_.emplace(members, lat);
+        memo_.emplace(std::vector<int>(members.begin(), members.end()),
+                      lat);
         return lat;
     }
 
     const Circuit &circuit_;
     const Dag &dag_;
     const LatencyFn &latency_;
-    std::map<std::vector<int>, double> memo_;
+    /** Orders member lists like std::vector, and spans against them. */
+    struct MembersLess
+    {
+        using is_transparent = void;
+        template <class A, class B>
+        bool
+        operator()(const A &a, const B &b) const
+        {
+            return std::lexicographical_compare(a.begin(), a.end(),
+                                                b.begin(), b.end());
+        }
+    };
+    std::map<std::vector<int>, double, MembersLess> memo_;
+    std::vector<double> finish_; // by group id, reused across trials
 };
 
 } // namespace

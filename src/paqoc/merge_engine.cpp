@@ -1,11 +1,10 @@
 #include "paqoc/merge_engine.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <compare>
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_map>
 
 #include "circuit/commute.h"
 #include "circuit/contract.h"
@@ -28,24 +27,39 @@ struct Candidate
 };
 
 /**
- * Stable identity string of a gate for cross-iteration memoization:
- * custom gates key on their shared unitary's address (stable across
- * circuit copies), primitives on (op, angle).
+ * Stable identity of a gate for cross-iteration memoization: custom
+ * gates key on their shared unitary's address (stable across circuit
+ * copies), primitives on (op, angle).
+ *
+ * An address key is sound only while that unitary stays alive: a
+ * freed matrix's address can be handed to a different unitary, which
+ * would then be served a stale latency (the ABA hazard described in
+ * latency_oracle.h). The run's LatencyOracle pins every custom
+ * unitary it has been asked about, and each iteration schedules the
+ * whole circuit through it before scoring, so every keyed address
+ * outlives the memo.
  */
-std::string
-gateKey(const Gate &g)
+struct GateKey
 {
-    if (g.isCustom()) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "c%p", // NOLINT
-                      static_cast<const void *>(&g.customUnitary()));
-        return buf;
+    const void *unitary = nullptr; // custom gates only
+    int op = 0;
+    double angle = 0.0;
+
+    explicit GateKey(const Gate &g)
+    {
+        if (g.isCustom()) {
+            unitary = &g.customUnitary();
+        } else {
+            op = static_cast<int>(g.op());
+            angle = g.angle();
+        }
     }
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "p%d:%.12g",
-                  static_cast<int>(g.op()), g.angle());
-    return buf;
-}
+
+    auto operator<=>(const GateKey &) const = default;
+};
+
+/** Memo of same-width merged-pair latency estimates. */
+using PairMemo = std::map<std::pair<GateKey, GateKey>, double>;
 
 /** Qubit support union size of two gates. */
 int
@@ -86,7 +100,7 @@ mergePair(const Circuit &circuit, const std::vector<int> &members,
 double
 scoreCandidate(const Circuit &circuit, const Dag &dag, const Schedule &s,
                int u, int v, PulseGenerator &generator,
-               std::map<std::string, double> &pair_memo)
+               PairMemo &pair_memo)
 {
     const Gate &gu = circuit.gate(static_cast<std::size_t>(u));
     const Gate &gv = circuit.gate(static_cast<std::size_t>(v));
@@ -103,7 +117,7 @@ scoreCandidate(const Circuit &circuit, const Dag &dag, const Schedule &s,
         // Same-width merge: the merged unitary is cheap to form; ask
         // the analytical model (Observation 1 guarantees <= sum).
         // Memoized across iterations -- most candidate pairs persist.
-        const std::string memo_key = gateKey(gu) + "|" + gateKey(gv);
+        const std::pair memo_key{GateKey(gu), GateKey(gv)};
         const auto it = pair_memo.find(memo_key);
         if (it != pair_memo.end()) {
             merged_latency = it->second;
@@ -155,7 +169,7 @@ mergeCustomizedGates(const Circuit &circuit, PulseGenerator &generator,
 
     LatencyOracle latency(generator);
     const LatencyFn lat_fn = [&](const Gate &g) { return latency(g); };
-    std::map<std::string, double> pair_memo;
+    PairMemo pair_memo;
 
 
     // Preprocessing merges only nested-support (same effective width)

@@ -44,21 +44,14 @@ sweep(const Circuit &circuit, int max_qubits, const LatencyFn *latency,
     const Dag dag = buildDag(circuit);
     GroupContraction gc(circuit, dag);
 
-    // Track each group's qubit support, members, and modeled latency
-    // as merges accumulate, keyed by group id (group ids change on
-    // merge; stale ids are simply never queried again because
-    // groupOf() always returns the live id).
+    // Track each group's qubit support as merges accumulate, keyed by
+    // group id (group ids change on merge; stale ids are simply never
+    // queried again because groupOf() always returns the live id).
     std::map<int, std::set<int>> support;
-    std::map<int, std::vector<int>> members;
-    std::map<int, double> group_latency;
     for (std::size_t i = 0; i < circuit.size(); ++i) {
         const Gate &g = circuit.gate(i);
-        const int gid = gc.groupOf(static_cast<int>(i));
-        support[gid] =
+        support[gc.groupOf(static_cast<int>(i))] =
             std::set<int>(g.qubits().begin(), g.qubits().end());
-        members[gid] = {static_cast<int>(i)};
-        if (latency != nullptr)
-            group_latency[gid] = (*latency)(g);
     }
 
     changed = false;
@@ -84,23 +77,12 @@ sweep(const Circuit &circuit, int max_qubits, const LatencyFn *latency,
             if (static_cast<int>(merged.size()) > max_qubits)
                 continue;
 
-            std::vector<int> joint = members.at(gu);
-            joint.insert(joint.end(), members.at(gv).begin(),
-                         members.at(gv).end());
-            std::sort(joint.begin(), joint.end());
-
             std::set<int> merged_copy = merged;
-            const double joint_latency = latency != nullptr
-                ? group_latency.at(gu) + group_latency.at(gv)
-                : 0.0;
             if (!gc.tryMerge({static_cast<int>(u), v}))
                 continue;
             changed = true;
-            const int gid = gc.groupOf(static_cast<int>(u));
-            support[gid] = std::move(merged_copy);
-            members[gid] = std::move(joint);
-            if (latency != nullptr)
-                group_latency[gid] = joint_latency;
+            support[gc.groupOf(static_cast<int>(u))] =
+                std::move(merged_copy);
         }
     }
     if (!changed)

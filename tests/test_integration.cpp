@@ -6,12 +6,16 @@
  * invariants, and cross-compiler comparisons.
  */
 
+#include <algorithm>
+#include <map>
 #include <optional>
+#include <set>
 
 #include <gtest/gtest.h>
 
 #include "circuit/contract.h"
 #include "circuit/schedule.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "linalg/kernels.h"
 #include "linalg/unitary_util.h"
@@ -152,13 +156,14 @@ TEST(Contract, MembersByIdAndTopologicalOrder)
     const Dag dag = buildDag(c);
     GroupContraction gc(c, dag);
     ASSERT_TRUE(gc.tryMerge({0, 1}));
-    const auto members = gc.membersById();
     const auto order = gc.topologicalOrder();
     ASSERT_EQ(order.size(), 2u);
     // First group in order holds gates {0, 1}; second holds {2}.
-    EXPECT_EQ(members[static_cast<std::size_t>(order[0])],
+    const auto first = gc.members(order[0]);
+    const auto second = gc.members(order[1]);
+    EXPECT_EQ(std::vector<int>(first.begin(), first.end()),
               (std::vector<int>{0, 1}));
-    EXPECT_EQ(members[static_cast<std::size_t>(order[1])],
+    EXPECT_EQ(std::vector<int>(second.begin(), second.end()),
               (std::vector<int>{2}));
 }
 
@@ -191,6 +196,241 @@ TEST(Contract, CyclicMergeRejectedAndStateIntact)
     EXPECT_FALSE(gc.tryMerge({0, 2}));
     EXPECT_NE(gc.groupOf(0), gc.groupOf(2));
     EXPECT_EQ(gc.groups().size(), 3u);
+}
+
+/**
+ * The contraction as first written, kept as the oracle: every merge
+ * relabels all gates, and Kahn's algorithm over the deduplicated group
+ * edges (ready groups by lowest member gate) gives the emit order.
+ * Acceptance is decided by a brute-force transitive closure instead.
+ */
+struct ReferenceContraction
+{
+    const Dag *dag = nullptr;
+    std::vector<int> groupOf;
+    int numGroups = 0;
+
+    /** Group ids in emit order; empty when the graph is cyclic. */
+    std::vector<int>
+    order() const
+    {
+        const auto ng = static_cast<std::size_t>(numGroups);
+        std::vector<std::set<int>> succ(ng);
+        std::vector<int> indeg(ng, 0);
+        std::vector<int> first(ng, 1 << 30);
+        std::vector<char> present(ng, 0);
+        for (std::size_t u = 0; u < groupOf.size(); ++u) {
+            const auto gu = static_cast<std::size_t>(groupOf[u]);
+            present[gu] = 1;
+            first[gu] = std::min(first[gu], static_cast<int>(u));
+            for (int v : dag->succs[u]) {
+                const int gv = groupOf[static_cast<std::size_t>(v)];
+                if (groupOf[u] != gv && succ[gu].insert(gv).second)
+                    ++indeg[static_cast<std::size_t>(gv)];
+            }
+        }
+        std::set<std::pair<int, int>> ready; // (first member, group)
+        std::size_t total = 0;
+        for (std::size_t g = 0; g < ng; ++g) {
+            total += present[g];
+            if (present[g] && indeg[g] == 0)
+                ready.emplace(first[g], static_cast<int>(g));
+        }
+        std::vector<int> out;
+        while (!ready.empty()) {
+            const int g = ready.begin()->second;
+            ready.erase(ready.begin());
+            out.push_back(g);
+            for (int s : succ[static_cast<std::size_t>(g)])
+                if (--indeg[static_cast<std::size_t>(s)] == 0)
+                    ready.emplace(first[static_cast<std::size_t>(s)], s);
+        }
+        if (out.size() != total)
+            out.clear();
+        return out;
+    }
+
+    /** Would fusing the groups of `gates` leave the graph acyclic? */
+    bool
+    acyclicAfter(const std::vector<int> &gates) const
+    {
+        std::vector<int> label = groupOf;
+        std::set<int> fused;
+        for (int g : gates)
+            fused.insert(groupOf[static_cast<std::size_t>(g)]);
+        for (int &l : label)
+            if (fused.count(l))
+                l = -1;
+        // Compact labels, then close reachability over group edges.
+        std::map<int, std::size_t> id;
+        for (int l : label)
+            id.emplace(l, id.size());
+        const std::size_t k = id.size();
+        std::vector<std::vector<char>> r(k, std::vector<char>(k, 0));
+        for (std::size_t u = 0; u < label.size(); ++u)
+            for (int v : dag->succs[u])
+                if (label[u] != label[static_cast<std::size_t>(v)])
+                    r[id[label[u]]][id[label[static_cast<std::size_t>(
+                        v)]]] = 1;
+        for (std::size_t m = 0; m < k; ++m)
+            for (std::size_t i = 0; i < k; ++i)
+                if (r[i][m])
+                    for (std::size_t j = 0; j < k; ++j)
+                        r[i][j] = r[i][j] || r[m][j];
+        for (std::size_t i = 0; i < k; ++i)
+            if (r[i][i])
+                return false;
+        return true;
+    }
+
+    bool
+    tryMerge(const std::vector<int> &gates)
+    {
+        if (!acyclicAfter(gates))
+            return false;
+        std::set<int> fused;
+        for (int g : gates)
+            fused.insert(groupOf[static_cast<std::size_t>(g)]);
+        for (int &l : groupOf)
+            if (fused.count(l))
+                l = numGroups;
+        ++numGroups;
+        return true;
+    }
+};
+
+/** Every observable of the contraction equals the oracle's. */
+void
+expectSameContraction(const GroupContraction &gc,
+                      const ReferenceContraction &ref)
+{
+    std::map<int, std::vector<int>> members;
+    for (std::size_t i = 0; i < ref.groupOf.size(); ++i) {
+        ASSERT_EQ(gc.groupOf(static_cast<int>(i)), ref.groupOf[i]);
+        members[ref.groupOf[i]].push_back(static_cast<int>(i));
+    }
+    for (const auto &[gid, want] : members) {
+        const auto got = gc.members(gid);
+        EXPECT_EQ(std::vector<int>(got.begin(), got.end()), want);
+    }
+    EXPECT_EQ(gc.topologicalOrder(), ref.order());
+}
+
+TEST(Contract, RandomMergesMatchFullSortOracle)
+{
+    int self_fusions = 0;
+    int wide_fusions = 0;
+    int rejections = 0;
+    int restores = 0;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        Rng rng(seed);
+        const int nq = rng.range(4, 8);
+        Circuit c(nq);
+        const int n = rng.range(8, 40);
+        for (int i = 0; i < n; ++i) {
+            std::vector<int> qs;
+            const int arity = rng.range(1, 3);
+            while (static_cast<int>(qs.size()) < arity) {
+                const int q = rng.range(0, nq - 1);
+                if (std::find(qs.begin(), qs.end(), q) == qs.end())
+                    qs.push_back(q);
+            }
+            const Op op =
+                arity == 1 ? Op::H : (arity == 2 ? Op::CX : Op::CCX);
+            c.add(Gate(op, qs));
+        }
+        const Dag dag = buildDag(c);
+        GroupContraction gc(c, dag);
+        ReferenceContraction ref{&dag, {}, n};
+        for (int i = 0; i < n; ++i)
+            ref.groupOf.push_back(i);
+
+        struct Saved
+        {
+            GroupContraction::State state;
+            ReferenceContraction ref;
+        };
+        std::vector<Saved> saved;
+        for (int step = 0; step < 50; ++step) {
+            const auto roll = rng.below(10);
+            if (roll == 0) {
+                saved.push_back({gc.snapshot(), ref});
+            } else if (roll == 1 && !saved.empty()) {
+                const std::size_t k = rng.below(saved.size());
+                gc.restore(saved[k].state);
+                ref = saved[k].ref;
+                saved.resize(k + 1);
+                ++restores;
+            } else {
+                // A random walk along DAG edges (mostly contractible)
+                // plus, sometimes, an unrelated gate (often cyclic).
+                std::vector<int> gates{rng.range(0, n - 1)};
+                const int size = rng.range(1, 4);
+                while (static_cast<int>(gates.size()) < size) {
+                    const auto at =
+                        static_cast<std::size_t>(gates.back());
+                    const auto &next = rng.chance(0.5) ? dag.succs[at]
+                                                       : dag.preds[at];
+                    if (next.empty() || rng.chance(0.15))
+                        gates.push_back(rng.range(0, n - 1));
+                    else
+                        gates.push_back(next[rng.below(next.size())]);
+                }
+                std::set<int> groups;
+                for (int g : gates)
+                    groups.insert(ref.groupOf[static_cast<std::size_t>(g)]);
+                const bool want = ref.tryMerge(gates);
+                ASSERT_EQ(gc.tryMerge(gates), want)
+                    << "seed " << seed << " step " << step;
+                self_fusions += groups.size() == 1;
+                wide_fusions += want && groups.size() >= 3;
+                rejections += !want;
+            }
+            expectSameContraction(gc, ref);
+            if (::testing::Test::HasFailure())
+                return;
+        }
+
+        std::vector<std::vector<int>> want_merged;
+        for (int gid : ref.order()) {
+            std::vector<int> m;
+            for (int i = 0; i < n; ++i)
+                if (ref.groupOf[static_cast<std::size_t>(i)] == gid)
+                    m.push_back(i);
+            if (m.size() > 1)
+                want_merged.push_back(m);
+        }
+        std::vector<std::vector<int>> got_merged;
+        const Circuit out = gc.emit([&](const std::vector<int> &m) {
+            got_merged.push_back(m);
+            return c.gate(static_cast<std::size_t>(m[0]));
+        });
+        EXPECT_EQ(out.size(), ref.order().size());
+        EXPECT_EQ(got_merged, want_merged);
+    }
+    // The sequences must have exercised every case.
+    EXPECT_GT(self_fusions, 0);
+    EXPECT_GT(wide_fusions, 0);
+    EXPECT_GT(rejections, 0);
+    EXPECT_GT(restores, 0);
+}
+
+TEST(Contract, StaleStateCannotBeRestored)
+{
+    Circuit c(2);
+    c.h(0);
+    c.cx(0, 1);
+    c.t(1);
+    const Dag dag = buildDag(c);
+    GroupContraction gc(c, dag);
+    const GroupContraction::State s0 = gc.snapshot();
+    ASSERT_TRUE(gc.tryMerge({0, 1}));
+    const GroupContraction::State s1 = gc.snapshot();
+    gc.restore(s0);
+    ASSERT_TRUE(gc.tryMerge({1, 2}));
+    // s1 names a merge that restore(s0) undid; the journal moved on.
+    EXPECT_THROW(gc.restore(s1), InternalError);
+    EXPECT_EQ(gc.groupOf(1), gc.groupOf(2));
 }
 
 TEST(Integration, AccqocBlocksCarryLatencyCaps)

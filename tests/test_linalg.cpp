@@ -441,7 +441,6 @@ TEST(UnitaryUtil, PauliBasisFirstUseIsThreadSafe)
                 seen[static_cast<std::size_t>(t)]
                     [static_cast<std::size_t>(i)];
             EXPECT_EQ(got.localNorm, want.localNorm);
-            EXPECT_EQ(got.entanglingNorm, want.entanglingNorm);
             EXPECT_EQ(got.adjacentPairNorm, want.adjacentPairNorm);
             EXPECT_EQ(got.hardNorm, want.hardNorm);
         }

@@ -207,6 +207,45 @@ TEST(MergeEngine, CriticalityPruneReducesScoredCandidates)
               ru.stats.finalMakespan * 1.25 + 1e-9);
 }
 
+TEST(MergeEngine, SameCircuitTwiceInOneProcessGivesIdenticalResult)
+{
+    // The pair memo keys custom gates by unitary address. The second
+    // run allocates into memory the first one freed, so a memo that
+    // outlived its pinned unitaries would serve stale latencies and
+    // rank merges differently.
+    Rng rng(91);
+    const Circuit c = randomCircuit(rng, 6, 60);
+    SpectralPulseGenerator gen;
+    for (const bool commute : {false, true}) {
+        MergeOptions opts;
+        opts.topK = 2;
+        opts.commutativityAware = commute;
+        const MergeResult a = mergeCustomizedGates(c, gen, opts);
+        const MergeResult b = mergeCustomizedGates(c, gen, opts);
+        EXPECT_EQ(a.stats.iterations, b.stats.iterations);
+        EXPECT_EQ(a.stats.mergesApplied, b.stats.mergesApplied);
+        EXPECT_EQ(a.stats.candidatesScored, b.stats.candidatesScored);
+        EXPECT_EQ(a.stats.candidatesPruned, b.stats.candidatesPruned);
+        EXPECT_EQ(a.stats.initialMakespan, b.stats.initialMakespan);
+        EXPECT_EQ(a.stats.finalMakespan, b.stats.finalMakespan);
+        EXPECT_GT(a.stats.mergesApplied, 0);
+        ASSERT_EQ(a.circuit.size(), b.circuit.size());
+        for (std::size_t i = 0; i < a.circuit.size(); ++i) {
+            const Gate &ga = a.circuit.gate(i);
+            const Gate &gb = b.circuit.gate(i);
+            EXPECT_EQ(ga.label(), gb.label());
+            EXPECT_EQ(ga.qubits(), gb.qubits());
+            EXPECT_EQ(ga.absorbedCount(), gb.absorbedCount());
+            EXPECT_EQ(ga.latencyCap(), gb.latencyCap());
+            const Matrix ua = ga.unitary();
+            const Matrix ub = gb.unitary();
+            for (std::size_t r = 0; r < ua.rows(); ++r)
+                for (std::size_t k = 0; k < ua.cols(); ++k)
+                    EXPECT_EQ(ua(r, k), ub(r, k));
+        }
+    }
+}
+
 TEST(Esp, ProductOfGateSuccessRates)
 {
     SpectralPulseGenerator gen;
